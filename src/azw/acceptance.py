@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import elliptic, fit, monoid, schemes
-from .arith import PrimePowerDomain, enumeration_field, factorize, sieve
+from .arith import PrimePowerDomain, build_field, factorize, sieve
 from .puiseux import parse_puiseux
 from .zeta import check_functional_equation, parse_product, soule_zeta, tensor
 
@@ -179,11 +179,10 @@ def criterion_03() -> CriterionResult:
         x = monoid.MonoidScheme((monoid.MonoidSchemePoint(r, tors),), f"Z^{r}x{tors}")
         for q in qs:
             ((p, m),) = factorize(q)
-            fld = enumeration_field(p, m)
-            units = [z for z in fld.elements() if z != fld.zero]
-            images = [units] * r + [
-                [z for z in units if fld.pow(z, t) == fld.one] for t in tors
-            ]
+            fld = build_field(p, m)
+            units = fld.elements()[:, 1:]  # column 0 is the zero element
+            codes = fld.code(units)  # the one element has code 1
+            images = [codes] * r + [codes[fld.code(fld.pow(units, t)) == 1] for t in tors]
             homs = sum(1 for _ in itertools.product(*images))
             if homs != monoid.count_zlift(x, q):
                 failures.append(f"A=Z^{r}x{tors}, q={q}: {homs} != {monoid.count_zlift(x, q)}")

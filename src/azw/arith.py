@@ -2,8 +2,8 @@
 
 Primality is decided by trial division and sieving (desk-scale bounds make
 this exact and fast enough); all square/cube roots are computed on integers,
-never through floating point.  Small explicit fields F_{p^m} are provided as
-brute-force oracles only.
+never through floating point.  Small explicit fields F_{p^m}, handled as
+whole-field numpy arrays, are provided as brute-force oracles only.
 """
 
 from __future__ import annotations
@@ -11,8 +11,9 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from functools import lru_cache
-from typing import Iterator, NamedTuple, Optional
+from typing import NamedTuple, Optional
+
+import numpy as np
 
 ORACLE_FIELD_BOUND = 30000
 
@@ -219,11 +220,16 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
 
 
 class SmallField:
-    """Explicit F_{p^m}; elements are little-endian coefficient tuples.
+    """Explicit F_{p^m} whose elements are handled a whole field at a time.
 
-    The modulus is the first irreducible monic polynomial in lexicographic
-    order of its lower coefficients, so field construction is deterministic.
-    Meant for exhaustive point counting, not performance.
+    A set of N elements is an int64 array of shape (m, N): column j holds the
+    base-p digits of element j, little-endian (row i is the coefficient of
+    x^i).  `code(a) = sum a_i p^i` is an element's integer index, and
+    `elements()` lists all q columns in code order, so the zero element is
+    column 0 and the one element is column 1.  The modulus is the first
+    irreducible monic polynomial in lexicographic order of its lower
+    coefficients, so field construction is deterministic.  Meant for
+    exhaustive point counting.
     """
 
     def __init__(self, p: int, m: int, bound: int = ORACLE_FIELD_BOUND):
@@ -237,12 +243,14 @@ class SmallField:
         self.m = m
         self.order = p**m
         self.modulus = self._find_modulus()
-        # x^(m+i) reduced mod modulus, for folding products back below degree m
-        self._red: list[tuple[int, ...]] = []
+        # row i: x^(m+i) reduced mod modulus, for folding products back below degree m
+        red = []
         for i in range(m - 1):
             e = [0] * (m + i) + [1]
             r = _poly_mod(e, list(self.modulus) + [1], p)
-            self._red.append(tuple(r + [0] * (m - len(r))))
+            red.append(r + [0] * (m - len(r)))
+        self._red = np.array(red, dtype=np.int64).reshape(m - 1, m)
+        self._place = p ** np.arange(m, dtype=np.int64)
 
     def _find_modulus(self) -> tuple[int, ...]:
         if self.m == 1:
@@ -252,55 +260,50 @@ class SmallField:
                 return coeffs
         raise RuntimeError(f"no irreducible modulus for p={self.p}, m={self.m}")
 
-    @property
-    def zero(self) -> tuple[int, ...]:
-        return (0,) * self.m
+    def from_int(self, n: int) -> np.ndarray:
+        """The image of the integer n, as an (m, 1) column."""
+        col = np.zeros((self.m, 1), dtype=np.int64)
+        col[0, 0] = n % self.p
+        return col
 
-    @property
-    def one(self) -> tuple[int, ...]:
-        return (1,) + (0,) * (self.m - 1)
+    def elements(self) -> np.ndarray:
+        """All q elements as an (m, q) array, in the order of their codes."""
+        digits = np.arange(self.order, dtype=np.int64) // self._place[:, None]
+        digits %= self.p
+        return digits
 
-    def from_int(self, n: int) -> tuple[int, ...]:
-        return (n % self.p,) + (0,) * (self.m - 1)
+    def code(self, a: np.ndarray) -> np.ndarray:
+        """Integer index sum a_i p^i of each element of a (shape (m, ...))."""
+        return (self._place @ a.reshape(self.m, -1)).reshape(a.shape[1:])
 
-    def elements(self) -> Iterator[tuple[int, ...]]:
-        return itertools.product(range(self.p), repeat=self.m)
-
-    def add(self, a, b):
-        p = self.p
-        return tuple((x + y) % p for x, y in zip(a, b))
-
-    def sub(self, a, b):
-        p = self.p
-        return tuple((x - y) % p for x, y in zip(a, b))
-
-    def neg(self, a):
-        p = self.p
-        return tuple((-x) % p for x in a)
-
-    def mul(self, a, b):
-        p, m = self.p, self.m
-        if m == 1:
-            return (a[0] * b[0] % p,)
-        conv = [0] * (2 * m - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b):
-                    conv[i + j] += x * y
-        out = [c % p for c in conv[:m]]
+    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Elementwise product of two broadcastable element arrays: the m x m
+        digit convolution, its digits of degree >= m folded back by the
+        reduction rows.  Works one digit row at a time, so no temporary is
+        larger than a row."""
+        m, p = self.m, self.p
+        shape = np.broadcast_shapes(a.shape[1:], b.shape[1:])
+        low = np.zeros((m,) + shape, dtype=np.int64)  # digits of x^0 .. x^(m-1)
+        high = np.zeros((m - 1,) + shape, dtype=np.int64)  # digits of x^m .. x^(2m-2)
+        for i in range(m):
+            for j in range(m):
+                if i + j < m:
+                    low[i + j] += a[i] * b[j]
+                else:
+                    high[i + j - m] += a[i] * b[j]
         for i in range(m - 1):
-            c = conv[m + i] % p
-            if c:
-                row = self._red[i]
-                for k in range(m):
-                    out[k] = (out[k] + c * row[k]) % p
-        return tuple(out)
+            for k in range(m):
+                low[k] += self._red[i, k] * high[i]
+        low %= p
+        return low
 
-    def pow(self, a, e: int):
+    def pow(self, a: np.ndarray, e: int) -> np.ndarray:
+        """a^e elementwise by square-and-multiply; e < 0 needs nonzero a."""
         if e < 0:
             a = self.pow(a, self.order - 2)  # inverse via the group order
             e = -e
-        acc = self.one
+        acc = np.zeros_like(a)
+        acc[0] = 1
         base = a
         while e:
             if e & 1:
@@ -310,20 +313,6 @@ class SmallField:
         return acc
 
 
-@lru_cache(maxsize=None)
-def _cached_field(p: int, m: int, bound: int) -> SmallField:
-    return SmallField(p, m, bound)
-
-
 def build_field(p: int, m: int, bound: int = ORACLE_FIELD_BOUND) -> SmallField:
-    """F_{p^m} for oracle use; degree capped at 3 (larger fields are only
-    reachable through the enumeration helpers that need them)."""
-    if not 1 <= m <= 3:
-        raise ValueError("build_field supports extension degrees 1..3")
-    return _cached_field(p, m, bound)
-
-
-def enumeration_field(p: int, m: int, bound: int = ORACLE_FIELD_BOUND) -> SmallField:
-    """Size-capped field of any degree, for exhaustive-enumeration oracles
-    whose q sweep needs degrees above 3 (still tiny fields)."""
-    return _cached_field(p, m, bound)
+    """F_{p^m} for oracle use, of any degree m >= 1 and size at most bound."""
+    return SmallField(p, m, bound)

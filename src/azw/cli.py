@@ -92,19 +92,30 @@ def _domain(cfg: RunConfig, extra_excluded: frozenset[int] = frozenset()) -> Pri
     return PrimePowerDomain(cfg.excluded | extra_excluded, kind, cfg.limit)
 
 
-def _family(spec: str):
-    """Parse 'An:n=3', 'Gn:n=5' or 'pell:delta=5'."""
+def _spec_args(spec: str) -> tuple[str, dict[str, str]]:
+    """Split 'head:k=v,k=v' into its head and arguments."""
     try:
         head, args = spec.split(":", 1)
-        kv = dict(part.split("=", 1) for part in args.split(","))
+        return head, dict(part.split("=", 1) for part in args.split(","))
     except ValueError as exc:
-        raise ValueError(f"malformed family spec {spec!r}") from exc
+        raise ValueError(f"malformed spec {spec!r}") from exc
+
+
+def _int_arg(spec: str, kv: dict[str, str], key: str) -> int:
+    if key not in kv:
+        raise ValueError(f"spec {spec!r} needs {key}=")
+    return int(kv[key])
+
+
+def _family(spec: str):
+    """Parse 'An:n=3', 'Gn:n=5' or 'pell:delta=5'."""
+    head, kv = _spec_args(spec)
     if head == "An":
-        return ("An", int(kv["n"]))
+        return ("An", _int_arg(spec, kv, "n"))
     if head == "Gn":
-        return ("Gn", int(kv["n"]))
+        return ("Gn", _int_arg(spec, kv, "n"))
     if head == "pell":
-        return ("pell", schemes.PellConic(int(kv["delta"])))
+        return ("pell", schemes.PellConic(_int_arg(spec, kv, "delta")))
     raise ValueError(f"unknown family {head!r}")
 
 
@@ -140,13 +151,13 @@ def _source(cfg: RunConfig) -> fit.SequenceSource:
             return schemes.gn_source(obj, dom)
         return schemes.pell_source(obj, dom)
     if head == "curve":
-        kv = dict(part.split("=", 1) for part in spec.split(":", 1)[1].split(","))
+        kv = _spec_args(spec)[1]
         if "file" in kv:
             curve = _load_curve(
                 RunConfig("curve", input_path=kv["file"], label=kv.get("label", ""))
             )
         else:
-            curve = elliptic.EllipticCurve(int(kv["a"]), int(kv["b"]))
+            curve = elliptic.EllipticCurve(_int_arg(spec, kv, "a"), _int_arg(spec, kv, "b"))
         dom = _domain(cfg, extra_excluded=curve.bad_primes)
         if cfg.primes_only:
             return fit.SequenceSource(
@@ -247,6 +258,8 @@ def _run_family(cfg: RunConfig) -> int:
 
 def _run_curve(cfg: RunConfig) -> int:
     curve = _load_curve(cfg)
+    if cfg.action in ("count", "classify") and cfg.p is None:
+        raise ValueError(f"curve {cfg.action} needs --p")
     if cfg.action == "count":
         print(elliptic.count_extension(curve, cfg.p, cfg.m))
     elif cfg.action == "classify":

@@ -72,10 +72,11 @@ class EllipticCurve:
             raise ValueError(f"p={p} is not a good prime for {self.label}")
 
     def trace(self, p: int) -> int:
-        """Frobenius trace a_p = p + 1 - #E(F_p), cached per prime."""
-        self.check_good(p)
+        """Frobenius trace a_p = p + 1 - #E(F_p), cached per prime.  A cached
+        p was checked good when it was computed, so only a miss is checked."""
         t = self._traces.get(p)
         if t is None:
+            self.check_good(p)
             t = _trace_char_sum(self.a, self.b, p)
             if t * t > 4 * p:  # Hasse bound; a violation means a counting bug
                 raise RuntimeError(f"trace {t} violates the Hasse bound at p={p}")
@@ -117,37 +118,19 @@ def count_extension(curve: EllipticCurve, p: int, m: int) -> int:
     return p**m + 1 - trace_power(curve, p, m)
 
 
-@dataclass(frozen=True)
-class TraceData:
-    """a_p together with the extension counts the recursion derives from it."""
-
-    p: int
-    trace: int
-    counts: tuple[int, ...]  # #E(F_{p^m}) for m = 1..len(counts)
-
-
-def trace_data(curve: EllipticCurve, p: int, m_max: int) -> TraceData:
-    ap = curve.trace(p)
-    counts = tuple(count_extension(curve, p, m) for m in range(1, m_max + 1))
-    return TraceData(p, ap, counts)
-
-
 def count_extension_oracle(curve: EllipticCurve, p: int, m: int) -> int:
     """Projective count by exhaustive enumeration over an explicit F_{p^m}:
     affine solutions of y^2 = x^3 + ax + b, plus the point at infinity."""
     curve.check_good(p)
     fld = build_field(p, m)
-    squares: dict = {}
-    for y in fld.elements():
-        sq = fld.mul(y, y)
-        squares[sq] = squares.get(sq, 0) + 1
-    a = fld.from_int(curve.a)
-    b = fld.from_int(curve.b)
-    total = 1
-    for x in fld.elements():
-        rhs = fld.add(fld.add(fld.mul(fld.mul(x, x), x), fld.mul(a, x)), b)
-        total += squares.get(rhs, 0)
-    return total
+    z = fld.elements()
+    zz = fld.mul(z, z)
+    squares = np.bincount(fld.code(zz), minlength=fld.order)
+    rhs = fld.mul(zz, z)  # x^3 + ax + b, in place: a is a scalar of F_p
+    rhs += curve.a % p * z
+    rhs += fld.from_int(curve.b)
+    rhs %= p
+    return 1 + int(squares[fld.code(rhs)].sum())
 
 
 def is_supersingular(curve: EllipticCurve, p: int) -> bool:
@@ -165,11 +148,6 @@ class LocalZeta:
     @property
     def numerator(self) -> tuple[int, int, int]:
         return (1, -self.trace, self.p)
-
-    @property
-    def denominator_factors(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        # each factor (1 + c*T) given by c
-        return ((1, -1), (1, -self.p))
 
     @property
     def supersingular(self) -> bool:

@@ -72,10 +72,11 @@ class Verdict:
 
     def summary(self) -> str:
         head = f"{self.mode} candidate on {self.source_label}: {self.status}"
+        excluded = ", ".join(str(p) for p in sorted(self.excluded))
         tail = (
             f" (witnesses {len(self.witnesses)}/{self.witness_threshold},"
             f" limit {self.scanned_limit},"
-            f" excluded {sorted(self.excluded) or '{}'})"
+            f" excluded {{{excluded}}})"
         )
         if self.violation:
             v = self.violation

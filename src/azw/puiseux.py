@@ -217,14 +217,6 @@ class PuiseuxPoly:
         raise RuntimeError(f"interval refinement did not resolve at q={q}")
 
 
-def add(f: PuiseuxPoly, g: PuiseuxPoly) -> PuiseuxPoly:
-    return f + g
-
-
-def scale(f: PuiseuxPoly, c) -> PuiseuxPoly:
-    return f.scale(c)
-
-
 def expand_binomial(t_factor: int, r: int) -> PuiseuxPoly:
     """T*(t-1)^r expanded into canonical form."""
     if r < 0:
@@ -234,22 +226,6 @@ def expand_binomial(t_factor: int, r: int) -> PuiseuxPoly:
         for k in range(r + 1)
     ]
     return PuiseuxPoly(terms)
-
-
-def eval_exact(f: PuiseuxPoly, q: int) -> Fraction:
-    return f.eval_exact(q)
-
-
-def floor_eval(f: PuiseuxPoly, q: int) -> int:
-    return f.floor_eval(q)
-
-
-def ceil_eval(f: PuiseuxPoly, q: int) -> int:
-    return f.ceil_eval(q)
-
-
-def value_at_one(f: PuiseuxPoly) -> tuple[Fraction, bool]:
-    return f.value_at_one()
 
 
 # --- text form -------------------------------------------------------------

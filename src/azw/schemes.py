@@ -7,13 +7,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
+
+import numpy as np
 
 from . import fit
 from .arith import (
     ORACLE_FIELD_BOUND,
     PrimePowerDomain,
-    enumeration_field,
+    build_field,
     factorize,
     is_prime,
     isqrt,
@@ -51,9 +52,9 @@ def count_an(n: int, p: int, m: int) -> int:
 
 def count_an_oracle(n: int, p: int, m: int) -> int:
     """Enumerate F_{p^m} and drop the images of 0..n-1 (which collide mod p)."""
-    fld = enumeration_field(p, m)
-    removed = {fld.from_int(i) for i in range(n)}
-    return sum(1 for z in fld.elements() if z not in removed)
+    fld = build_field(p, m)
+    removed = np.concatenate([fld.code(fld.from_int(i)) for i in range(n)])
+    return int(np.count_nonzero(~np.isin(fld.code(fld.elements()), removed)))
 
 
 def envelopes_an(n: int, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly]:
@@ -77,30 +78,21 @@ def count_gn(n: int, p: int, m: int) -> int:
 
 def count_gn_oracle(n: int, p: int, m: int) -> int:
     """Enumerate units of F_{p^m} and count those with z^(n-1) != 1."""
-    fld = enumeration_field(p, m)
-    count = 0
-    for z in fld.elements():
-        if z == fld.zero:
-            continue
-        if fld.pow(z, n - 1) != fld.one:
-            count += 1
-    return count
+    fld = build_field(p, m)
+    units = fld.elements()[:, 1:]  # column 0 is the zero element
+    return int(np.count_nonzero(fld.code(fld.pow(units, n - 1)) != 1))  # code 1 is the one element
 
 
 def unit_power_census(p: int, m: int, k_max: int) -> list[int]:
     """hits[k] = #{units z of F_{p^m} : z^k = 1} for k = 1..k_max, from one
     enumeration pass with incremental powers (batched form of the oracle)."""
-    fld = enumeration_field(p, m)
+    fld = build_field(p, m)
+    units = fld.elements()[:, 1:]  # column 0 is the zero element
     hits = [0] * (k_max + 1)
-    one = fld.one
-    for z in fld.elements():
-        if z == fld.zero:
-            continue
-        w = one
-        for k in range(1, k_max + 1):
-            w = fld.mul(w, z)
-            if w == one:
-                hits[k] += 1
+    w = units
+    for k in range(1, k_max + 1):
+        hits[k] = int(np.count_nonzero(fld.code(w) == 1))
+        w = fld.mul(w, units)
     return hits
 
 
@@ -153,59 +145,39 @@ def count_pell(conic: PellConic, p: int, m: int) -> int:
     return q - chi**m
 
 
-@lru_cache(maxsize=None)
-def _square_occurrences(p: int, m: int) -> dict:
-    """element -> #{u in F_{p^m} : u^2 = element}, by enumerating u once."""
-    fld = enumeration_field(p, m)
-    squares: dict = {}
-    for u in fld.elements():
-        sq = fld.mul(u, u)
-        squares[sq] = squares.get(sq, 0) + 1
-    return squares
-
-
 def count_pell_oracle(conic: PellConic, p: int, m: int) -> int:
     """Exhaustive solution count of the defining equation over F_{p^m}.
 
-    For odd p the x-side is folded through a square-occurrence table built by
-    enumerating the field once (completing the square for odd discriminants),
-    which visits every solution without using quadratic characters.
+    For p = 2 the left side is evaluated on the whole (x, y) grid.  For odd p
+    the x-side is folded through a square-occurrence table built by squaring
+    every element once (completing the square for odd discriminants), which
+    visits every solution without using quadratic characters.
     """
     if m > 3:
         raise ValueError("oracle supports m <= 3")
     if p**m > ORACLE_FIELD_BOUND:
         raise ValueError(f"oracle bound {ORACLE_FIELD_BOUND} exceeded")
     d = conic.disc
-    fld = enumeration_field(p, m)
+    fld = build_field(p, m)
+    z = fld.elements()
     if p == 2:
+        x, y = z[:, :, None], z[:, None, :]
         if d % 4 == 0:
-            c = fld.from_int(-(d // 4))
-
-            def lhs(x, y):
-                return fld.add(fld.mul(x, x), fld.mul(c, fld.mul(y, y)))
-
+            lhs = fld.mul(x, x) + fld.mul(fld.from_int(-(d // 4)), fld.mul(y, y))
         else:
             c = fld.from_int((1 - d) // 4)
-
-            def lhs(x, y):
-                xx = fld.mul(x, x)
-                xy = fld.mul(x, y)
-                yy = fld.mul(c, fld.mul(y, y))
-                return fld.add(fld.add(xx, xy), yy)
-
-        return sum(1 for x in fld.elements() for y in fld.elements() if lhs(x, y) == fld.one)
+            lhs = fld.mul(x, x) + fld.mul(x, y) + fld.mul(c, fld.mul(y, y))
+        return int(np.count_nonzero(fld.code(lhs % p) == 1))
     # odd p: count x solutions of u^2 = target(y) through the square table
-    squares = _square_occurrences(p, m)
+    zz = fld.mul(z, z)
+    squares = np.bincount(fld.code(zz), minlength=fld.order)
     if d % 4 == 0:
-        offset, coeff = fld.one, fld.from_int(d // 4)  # x^2 = 1 + (D/4) y^2
+        offset, coeff = fld.from_int(1), fld.from_int(d // 4)  # x^2 = 1 + (D/4) y^2
     else:
         # 4*(x^2+xy+cy^2) = (2x+y)^2 - D y^2 and u = 2x+y is bijective in x
         offset, coeff = fld.from_int(4), fld.from_int(d)
-    total = 0
-    for y in fld.elements():
-        target = fld.add(offset, fld.mul(coeff, fld.mul(y, y)))
-        total += squares.get(target, 0)
-    return total
+    target = (offset + fld.mul(coeff, zz)) % p
+    return int(squares[fld.code(target)].sum())
 
 
 def envelopes_pell(conic: PellConic, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly]:

@@ -1,12 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 
 from azw.arith import (
     PrimePowerDomain,
     build_field,
     enumerate_domain,
-    enumeration_field,
     factorize,
     iroot,
     is_prime,
@@ -143,28 +143,29 @@ def test_is_prime_matches_sieve():
 def test_build_field_prime_field():
     f = build_field(5, 1)
     assert f.order == 5
-    assert sorted(f.elements()) == [(i,) for i in range(5)]
-    assert f.mul((3,), (4,)) == (2,)
+    assert f.elements().tolist() == [[0, 1, 2, 3, 4]]
+    assert f.mul(f.from_int(3), f.from_int(4)).tolist() == [[2]]
 
 
 def test_build_field_f4_modulus_unique():
     f = build_field(2, 2)
     assert f.modulus == (1, 1)  # x^2 + x + 1 is the only irreducible choice
-    elems = list(f.elements())
-    assert len(elems) == len(set(elems)) == 4
+    elems = f.elements()
+    assert elems.shape == (2, 4)
+    assert len({tuple(col) for col in elems.T}) == 4
 
 
 def test_build_field_f9_generator_order():
     f = build_field(3, 2)
     orders = []
-    for z in f.elements():
-        if z == f.zero:
-            continue
-        k, w = 1, z
-        while w != f.one:
+    for z in f.elements().T[1:]:  # every nonzero element, one (2, 1) column at a time
+        z = z.reshape(2, 1)
+        w, powers = z, []
+        for _ in range(8):  # z^1 .. z^8; the order is the first k with z^k = 1
+            powers.append(int(f.code(w)[0]))
             w = f.mul(w, z)
-            k += 1
-        orders.append(k)
+        assert 1 in powers
+        orders.append(powers.index(1) + 1)
     assert max(orders) == 8
     assert orders.count(8) == 4  # phi(8) generators
 
@@ -173,24 +174,75 @@ def test_field_axioms_random():
     rng = random.Random(3)
     for p, m in ((7, 1), (3, 2), (2, 3), (5, 3)):
         f = build_field(p, m)
-        elems = list(f.elements())
-        for _ in range(50):
-            a, b, c = (rng.choice(elems) for _ in range(3))
-            assert f.add(f.add(a, b), c) == f.add(a, f.add(b, c))
-            assert f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))
-            assert f.mul(a, f.add(b, c)) == f.add(f.mul(a, b), f.mul(a, c))
-            if a != f.zero:
-                assert f.pow(a, f.order - 1) == f.one
+        elems = f.elements()
+        a, b, c = (elems[:, [rng.randrange(f.order) for _ in range(50)]] for _ in range(3))
+        assert (((a + b) % p + c) % p == (a + (b + c) % p) % p).all()
+        assert (f.mul(f.mul(a, b), c) == f.mul(a, f.mul(b, c))).all()
+        assert (f.mul(a, (b + c) % p) == (f.mul(a, b) + f.mul(a, c)) % p).all()
+        nonzero = a[:, f.code(a) != 0]
+        assert (f.code(f.pow(nonzero, f.order - 1)) == 1).all()
 
 
 def test_build_field_caps():
     with pytest.raises(ValueError):
-        build_field(2, 4)
-    with pytest.raises(ValueError):
         build_field(8191, 2)  # 8191^2 > 30000
     with pytest.raises(ValueError):
         build_field(4, 1)
-    # enumeration helper allows higher degree at small size
-    f = enumeration_field(2, 6)
+    # any degree, as long as the field is small
+    f = build_field(2, 6)
     assert f.order == 64
-    assert len(set(f.elements())) == 64
+    assert len({tuple(col) for col in f.elements().T}) == 64
+
+
+def _digits(n: int, p: int, m: int) -> list[int]:
+    return [n // p**i % p for i in range(m)]
+
+
+def _schoolbook_mul(a: list[int], b: list[int], modulus: tuple[int, ...], p: int) -> list[int]:
+    """Plain-int polynomial product of a and b, reduced by x^m + modulus."""
+    m = len(a)
+    prod = [0] * (2 * m - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            prod[i + j] += x * y
+    monic = list(modulus) + [1]
+    for top in range(2 * m - 2, m - 1, -1):
+        c = prod[top] % p
+        for i, coeff in enumerate(monic):
+            prod[top - m + i] -= c * coeff
+    return [c % p for c in prod[:m]]
+
+
+SMALL_FIELDS = [(p, m) for p in sieve(125) for m in range(1, 8) if p**m <= 125]
+
+
+def test_field_products_match_schoolbook():
+    for p, m in SMALL_FIELDS:
+        f = build_field(p, m)
+        q = p**m
+        z = f.elements()
+        table = f.code(f.mul(z[:, :, None], z[:, None, :]))  # table[i, j] = code(z_i z_j)
+        digits = [_digits(n, p, m) for n in range(q)]
+        assert digits == z.T.tolist()
+        for i in range(q):
+            for j in range(q):
+                expected = _schoolbook_mul(digits[i], digits[j], f.modulus, p)
+                assert table[i, j] == sum(c * p**k for k, c in enumerate(expected)), (p, m, i, j)
+
+
+def test_unit_group_cyclic():
+    for p, m in SMALL_FIELDS:
+        f = build_field(p, m)
+        q = p**m
+        units = f.elements()[:, 1:]
+        assert (f.code(f.pow(units, q - 1)) == 1).all()
+        # a generator: no power (q-1)/r is 1, for each prime r | q - 1
+        is_gen = np.ones(q - 1, dtype=bool)
+        for r, _ in factorize(q - 1):
+            is_gen &= f.code(f.pow(units, (q - 1) // r)) != 1
+        g = units[:, [int(np.argmax(is_gen))]]
+        powers, w = set(), g
+        for _ in range(q - 1):
+            powers.add(int(f.code(w)[0]))
+            w = f.mul(w, g)
+        assert powers == set(range(1, q)), (p, m)

@@ -207,3 +207,21 @@ def test_repro_single_cheap_criterion(capsys):
     code, out, _ = run_cli(capsys, "repro", "--criterion", "1")
     assert code == 0
     assert "criterion 01" in out and "PASS" in out
+
+
+def test_curve_count_without_p_exits_1(capsys):
+    code, _, err = run_cli(capsys, "curve", "count", "--a", "-1", "--b", "0")
+    assert code == 1 and "error:" in err and "--p" in err
+    assert "Traceback" not in err
+
+
+def test_curve_source_without_b_exits_1(capsys):
+    code, _, err = run_cli(capsys, "fit", "verify", "--source", "curve:a=-1", "--candidate", "t")
+    assert code == 1 and "error:" in err and "b=" in err
+    assert "Traceback" not in err
+
+
+def test_family_source_without_n_exits_1(capsys):
+    code, _, err = run_cli(capsys, "fit", "verify", "--source", "An:m=3", "--candidate", "t")
+    assert code == 1 and "error:" in err and "n=" in err
+    assert "Traceback" not in err

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from azw import elliptic
-from azw.arith import PrimePowerDomain, enumeration_field, isqrt, sieve
+from azw.arith import PrimePowerDomain, build_field, isqrt, sieve
 from azw.elliptic import EllipticCurve
 from azw.puiseux import parse_puiseux
 
@@ -67,6 +67,24 @@ def test_count_extension_examples():
     assert elliptic.count_extension_oracle(E_PX, 5, 2) == 32
     with pytest.raises(ValueError):
         elliptic.count_extension(E_PX, 5, 0)
+
+
+def test_trace_cache_still_rejects_bad_and_composite_p():
+    curve = EllipticCurve(-1, 1)  # bad primes 2, 3, 23
+    for p in sieve(100):
+        if p not in curve.bad_primes:
+            curve.trace(p)
+    for p in (2, 3, 23, 1, 15, 25, 91):
+        with pytest.raises(ValueError):
+            curve.trace(p)
+        with pytest.raises(ValueError):  # nothing was cached by the failed call
+            curve.trace(p)
+
+
+def test_extension_oracle_near_field_bound():
+    for p, m in ((173, 2), (31, 3)):  # q = 29929 and 29791, just under the bound 30000
+        for curve in (E_MX, elliptic.FIXTURE_CURVES[4]):
+            assert elliptic.count_extension_oracle(curve, p, m) == elliptic.count_extension(curve, p, m)
 
 
 def test_trace_recursion_vs_oracle_subsample():
@@ -171,16 +189,14 @@ def test_first_champion_reverified_by_enumeration():
     rep = elliptic.census(E_MX, 3000)
     assert rep.champion, "no champion prime below 3000"
     p = rep.champion[0]
-    fld = enumeration_field(p, 1)
+    fld = build_field(p, 1)
+    z = fld.elements()
     squares = {}
-    for y in fld.elements():
-        sq = fld.mul(y, y)
+    for sq in fld.code(fld.mul(z, z)).tolist():
         squares[sq] = squares.get(sq, 0) + 1
-    count = 1
     a, b = fld.from_int(E_MX.a), fld.from_int(E_MX.b)
-    for x in fld.elements():
-        rhs = fld.add(fld.add(fld.mul(fld.mul(x, x), x), fld.mul(a, x)), b)
-        count += squares.get(rhs, 0)
+    rhs = (fld.mul(fld.mul(z, z), z) + fld.mul(a, z) + b) % p
+    count = 1 + sum(squares.get(r, 0) for r in fld.code(rhs).tolist())
     assert count == p + 1 + isqrt(4 * p)
 
 

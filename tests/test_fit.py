@@ -192,6 +192,13 @@ def test_verdict_invariants_and_summary():
     assert ok.scanned_limit == 10**4
 
 
+def test_summary_prints_excluded_as_a_set():
+    v = fit.verify_ceiling(CEIL_E, elliptic_src(200), 2, puiseux_mode=True)
+    assert "excluded {2, 3})" in v.summary()
+    src = monoid.zlift_source(monoid.projective_space(1), PrimePowerDomain(frozenset(), "prime_powers", 50))
+    assert "excluded {})" in fit.verify_ceiling(parse_puiseux("t + 1"), src, 3).summary()
+
+
 def test_sequence_source_caches():
     calls = []
     dom = PrimePowerDomain(frozenset(), "prime_powers", 50)

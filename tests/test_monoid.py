@@ -7,7 +7,7 @@ import pytest
 
 from azw import fit, monoid
 from azw.acceptance import random_scheme
-from azw.arith import PrimePowerDomain, enumeration_field, factorize
+from azw.arith import PrimePowerDomain, build_field, factorize
 from azw.monoid import MonoidScheme, MonoidSchemePoint
 from azw.puiseux import PuiseuxPoly, parse_puiseux
 from azw.zeta import FormalProduct, parse_product, soule_zeta
@@ -148,10 +148,12 @@ def test_hom_count_oracle_small():
     x = MonoidScheme((MonoidSchemePoint(1, (3,)),))
     for q in (4, 5, 7, 9, 13):
         ((p, m),) = factorize(q)
-        fld = enumeration_field(p, m)
-        units = [z for z in fld.elements() if z != fld.zero]
-        torsion_images = [z for z in units if fld.pow(z, 3) == fld.one]
-        homs = sum(1 for _ in itertools.product(units, torsion_images))
+        fld = build_field(p, m)
+        units = fld.elements()[:, 1:]  # column 0 is the zero element
+        codes = fld.code(units)
+        torsion_images = codes[fld.code(fld.pow(units, 3)) == 1]
+        assert len(codes) == q - 1
+        homs = sum(1 for _ in itertools.product(codes, torsion_images))
         assert homs == monoid.count_zlift(x, q)
 
 

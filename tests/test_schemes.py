@@ -92,6 +92,13 @@ def test_count_pell_matches_oracle_subsample():
                 assert schemes.count_pell(conic, p, m) == schemes.count_pell_oracle(conic, p, m), (d, p, m)
 
 
+def test_count_pell_oracle_near_field_bound():
+    for d in (-47, -20, -3, 1, 5, 12, 16, 41):
+        conic = PellConic(d)
+        for p, m in ((173, 2), (31, 3)):  # q = 29929 and 29791, just under the bound 30000
+            assert schemes.count_pell_oracle(conic, p, m) == schemes.count_pell(conic, p, m), (d, p, m)
+
+
 def test_count_pell_oracle_bounds():
     with pytest.raises(ValueError):
         schemes.count_pell_oracle(PellConic(5), 2, 4)
