@@ -296,6 +296,8 @@ def _verdict_exit(v: fit.Verdict) -> int:
 
 
 def _run_fit(cfg: RunConfig) -> int:
+    if cfg.action == "verify" and not cfg.expr[0].strip():
+        raise ValueError("fit verify needs --candidate")
     src = _source(cfg)
     if cfg.action == "verify":
         cand = parse_puiseux(cfg.expr[0])

@@ -13,7 +13,10 @@ integer A, A <= f(n) iff A <= floor(f(n)), and f(n) <= A iff ceil(f(n)) <= A.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from collections import Counter, defaultdict
+from dataclasses import dataclass, field, replace
+from itertools import accumulate
 from itertools import product as iter_product
 from typing import Callable, Optional
 
@@ -92,6 +95,35 @@ def _value_descriptor(f: PuiseuxPoly, n: int) -> str:
     return f"[{float(lo):.6f}, {float(hi):.6f}]"
 
 
+def _verdict(
+    src: SequenceSource,
+    mode: str,
+    witness_threshold: int,
+    witnesses=(),
+    violation: Optional[Violation] = None,
+    puiseux_mode: bool = False,
+) -> Verdict:
+    """The verdict of a scan of src that collected `witnesses` and stopped at
+    `violation`, or reached the limit when it is None."""
+    if violation is not None:
+        status = BOUND_VIOLATED
+    elif len(witnesses) >= witness_threshold:
+        status = VERIFIED
+    else:
+        status = INSUFFICIENT_WITNESSES
+    return Verdict(
+        status=status,
+        mode=mode,
+        witnesses=tuple(witnesses),
+        violation=violation,
+        scanned_limit=src.domain.limit,
+        witness_threshold=witness_threshold,
+        puiseux_mode=puiseux_mode,
+        source_label=src.label,
+        excluded=src.domain.excluded,
+    )
+
+
 def _scan(
     f: PuiseuxPoly,
     src: SequenceSource,
@@ -99,46 +131,35 @@ def _scan(
     witness_threshold: int,
     puiseux_mode: bool,
 ) -> Verdict:
-    def verdict(status, witnesses=(), violation=None):
-        return Verdict(
-            status=status,
-            mode=mode,
-            witnesses=tuple(witnesses),
-            violation=violation,
-            scanned_limit=src.domain.limit,
-            witness_threshold=witness_threshold,
-            puiseux_mode=puiseux_mode,
-            source_label=src.label,
-            excluded=src.domain.excluded,
-        )
-
     if puiseux_mode:
         _, integral = f.value_at_one()
         if not integral:
-            return verdict(NON_INTEGRAL_AT_ONE)
+            return replace(
+                _verdict(src, mode, witness_threshold, puiseux_mode=True),
+                status=NON_INTEGRAL_AT_ONE,
+            )
 
+    # A rounded value equal to the count is a witness by itself in puiseux
+    # mode, and for an integer-valued f, whose floor and ceiling agree.
+    rounded_is_exact = puiseux_mode or f.is_integer_valued
     witnesses: list[int] = []
     for pt, count in src.values():
         n = pt.q
         if mode == "ceiling":
             fl = f.floor_eval(n)
             if count > fl:  # count <= f(n) fails
-                return verdict(
-                    BOUND_VIOLATED, witnesses, Violation(n, count, _value_descriptor(f, n))
-                )
-            hit = fl == count and (puiseux_mode or f.ceil_eval(n) == count)
+                violation = Violation(n, count, _value_descriptor(f, n))
+                return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
+            hit = fl == count and (rounded_is_exact or f.ceil_eval(n) == count)
         else:
             cl = f.ceil_eval(n)
             if count < cl:  # f(n) <= count fails
-                return verdict(
-                    BOUND_VIOLATED, witnesses, Violation(n, count, _value_descriptor(f, n))
-                )
-            hit = cl == count and (puiseux_mode or f.floor_eval(n) == count)
+                violation = Violation(n, count, _value_descriptor(f, n))
+                return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
+            hit = cl == count and (rounded_is_exact or f.floor_eval(n) == count)
         if hit:
             witnesses.append(n)
-    if len(witnesses) >= witness_threshold:
-        return verdict(VERIFIED, witnesses)
-    return verdict(INSUFFICIENT_WITNESSES, witnesses)
+    return _verdict(src, mode, witness_threshold, witnesses, puiseux_mode=puiseux_mode)
 
 
 def verify_ceiling(
@@ -184,20 +205,39 @@ def reject_linear_family(
     witness shortfall); a candidate may also come back verified, which is the
     caller's signal that an envelope exists at this scale.  No claim beyond
     the scanned limit is made.
+
+    One pass over the offsets D_q = A_q - q decides every c: the scan of
+    t + c as a ceiling stops at the first point whose prefix maximum of D
+    exceeds c (as a floor, whose prefix minimum falls below c), and its
+    witnesses are the earlier points with D_q = c.
     """
     if src.domain.kind == "naturals_from_2":
         raise ValueError("linear-family rejection runs on prime-based domains")
-    out = []
-    for c in range(c_lo, c_hi + 1):
-        cand = PuiseuxPoly.linear(c)
-        out.append(
-            LinearCandidateReport(
-                c=c,
-                ceiling=verify_ceiling(cand, src, witness_threshold),
-                floor=verify_floor(cand, src, witness_threshold),
-            )
+    points = [(pt.q, count) for pt, count in src.values()]
+    offsets = [count - q for q, count in points]
+    highest = list(accumulate(offsets, max))
+    negated_lowest = list(accumulate((-d for d in offsets), max))
+    positions = defaultdict(list)
+    for i, d in enumerate(offsets):
+        positions[d].append(i)
+
+    def verdict(mode: str, c: int, stop: int) -> Verdict:
+        hits = positions.get(c, [])
+        witnesses = [points[i][0] for i in hits[: bisect_left(hits, stop)]]
+        violation = None
+        if stop < len(points):
+            n, count = points[stop]
+            violation = Violation(n, count, _value_descriptor(PuiseuxPoly.linear(c), n))
+        return _verdict(src, mode, witness_threshold, witnesses, violation)
+
+    return [
+        LinearCandidateReport(
+            c=c,
+            ceiling=verdict("ceiling", c, bisect_right(highest, c)),
+            floor=verdict("floor", c, bisect_right(negated_lowest, -c)),
         )
-    return out
+        for c in range(c_lo, c_hi + 1)
+    ]
 
 
 @dataclass(frozen=True)
@@ -224,28 +264,46 @@ def search_polynomial(
     At a sufficient limit at most one candidate per mode can survive (two
     verified envelopes of the same kind would have to cross infinitely
     often); several survivors are reported with the ambiguity flag set.
+
+    One pass per tuple of higher coefficients decides every constant term c:
+    with D_q = A_q - rest(q), c + rest is verified as a ceiling exactly when
+    c >= max D and #{q : D_q = c} reaches the threshold, and as a floor
+    exactly when c <= min D and the same count does.
     """
     if degree < 0 or degree > 3:
         raise ValueError("search supports degrees 0..3")
     width = coeff_hi - coeff_lo + 1
     if width < 1 or width ** (degree + 1) > 10**6:
         raise ValueError("coefficient box too large (limit 10^6 combinations)")
-    ceilings: list[PuiseuxPoly] = []
-    floors: list[PuiseuxPoly] = []
-    tested = 0
-    for coeffs in iter_product(range(coeff_lo, coeff_hi + 1), repeat=degree + 1):
-        cand = PuiseuxPoly([(c, k) for k, c in enumerate(coeffs)])
-        tested += 1
-        if verify_ceiling(cand, src, witness_threshold).verified:
-            ceilings.append(cand)
-        if verify_floor(cand, src, witness_threshold).verified:
-            floors.append(cand)
+    coeffs = range(coeff_lo, coeff_hi + 1)
+    points = src.values()
+    ceilings: list[tuple[int, ...]] = []
+    floors: list[tuple[int, ...]] = []
+    for higher in iter_product(coeffs, repeat=degree):
+        offsets = Counter(
+            count - sum(c * pt.q**k for k, c in enumerate(higher, 1)) for pt, count in points
+        )
+        top = max(offsets, default=coeff_lo)
+        bottom = min(offsets, default=coeff_hi)
+        ceilings += [
+            (c, *higher) for c in range(max(coeff_lo, top), coeff_hi + 1)
+            if offsets[c] >= witness_threshold
+        ]
+        floors += [
+            (c, *higher) for c in range(coeff_lo, min(coeff_hi, bottom) + 1)
+            if offsets[c] >= witness_threshold
+        ]
+
+    def polys(survivors: list[tuple[int, ...]]) -> tuple[PuiseuxPoly, ...]:
+        # sorted tuples are the order in which iter_product lists candidates
+        return tuple(PuiseuxPoly([(c, k) for k, c in enumerate(t)]) for t in sorted(survivors))
+
     return SearchReport(
-        ceiling=tuple(ceilings),
-        floor=tuple(floors),
+        ceiling=polys(ceilings),
+        floor=polys(floors),
         ceiling_ambiguous=len(ceilings) > 1,
         floor_ambiguous=len(floors) > 1,
-        candidates_tested=tested,
+        candidates_tested=width ** (degree + 1),
         scanned_limit=src.domain.limit,
         witness_threshold=witness_threshold,
     )

@@ -25,7 +25,7 @@ class PuiseuxPoly:
     """Immutable canonical form: terms (coeff, exponent) by decreasing exponent,
     no zero coefficients, exponents distinct and >= 0."""
 
-    __slots__ = ("terms",)
+    __slots__ = ("terms", "_int_terms")
 
     def __init__(self, terms=()):
         merged: dict[Fraction, Fraction] = {}
@@ -39,6 +39,11 @@ class PuiseuxPoly:
             (c, e) for e, c in sorted(merged.items(), reverse=True) if c != 0
         )
         object.__setattr__(self, "terms", canon)
+        # the terms as ints when every coefficient and exponent is an integer
+        ints = None
+        if all(c.denominator == 1 and e.denominator == 1 for c, e in canon):
+            ints = tuple((c.numerator, e.numerator) for c, e in canon)
+        object.__setattr__(self, "_int_terms", ints)
 
     def __setattr__(self, *_):
         raise AttributeError("PuiseuxPoly is immutable")
@@ -101,6 +106,11 @@ class PuiseuxPoly:
     @property
     def is_ordinary(self) -> bool:
         return self.exponent_denominator == 1
+
+    @property
+    def is_integer_valued(self) -> bool:
+        """Integer coefficients and exponents, so f(q) is an integer."""
+        return self._int_terms is not None
 
     def leading(self) -> tuple[Fraction, Fraction]:
         if not self.terms:
@@ -187,20 +197,17 @@ class PuiseuxPoly:
 
     def _int_value(self, q: int) -> int | None:
         """Exact value for ordinary integer-coefficient polynomials."""
-        acc = 0
-        for c, e in self.terms:
-            if c.denominator != 1 or e.denominator != 1:
-                return None
-            acc += c.numerator * q**e.numerator
-        return acc
+        if self._int_terms is None:
+            return None
+        return sum(c * q**e for c, e in self._int_terms)
 
     def _rounded(self, q: int, rnd) -> int:
         if q < 1:
             raise ValueError("evaluation domain is q >= 1")
+        v = self._int_value(q)
+        if v is not None:
+            return v
         if self.is_ordinary:
-            v = self._int_value(q)
-            if v is not None:
-                return v
             return rnd(self.eval_exact(q))
         bits = 64
         checked_exact = False

@@ -225,3 +225,9 @@ def test_family_source_without_n_exits_1(capsys):
     code, _, err = run_cli(capsys, "fit", "verify", "--source", "An:m=3", "--candidate", "t")
     assert code == 1 and "error:" in err and "n=" in err
     assert "Traceback" not in err
+
+
+def test_fit_verify_without_candidate_exits_1(capsys):
+    code, out, err = run_cli(capsys, "fit", "verify", "--source", "An:n=3", "--limit", "50")
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and "--candidate" in err and err.count("\n") == 1

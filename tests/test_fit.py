@@ -1,7 +1,11 @@
+from itertools import product
+
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from azw import elliptic, fit, monoid, schemes
-from azw.arith import PrimePowerDomain
+from azw.arith import PrimePowerDomain, enumerate_domain
 from azw.fit import (
     BOUND_VIOLATED,
     INSUFFICIENT_WITNESSES,
@@ -78,6 +82,15 @@ def test_insufficient_witnesses():
     v = fit.verify_ceiling(parse_puiseux("t + 1"), src, 1)  # q+1 > q-1 always
     assert v.status == INSUFFICIENT_WITNESSES
     assert v.witnesses == ()
+
+
+def test_half_integer_candidate_has_no_witnesses():
+    # floor(q + 1/2) and ceil(q - 1/2) both meet the count q, but f(q) never does
+    src = fit.SequenceSource("q", PrimePowerDomain(frozenset(), "prime_powers", 100), lambda pt: pt.q)
+    up = fit.verify_ceiling(parse_puiseux("t + 1/2"), src, 1)
+    down = fit.verify_floor(parse_puiseux("t - 1/2"), src, 1)
+    assert up.status == down.status == INSUFFICIENT_WITNESSES
+    assert up.witnesses == down.witnesses == ()
 
 
 def test_reject_linear_family_control_case():
@@ -206,3 +219,133 @@ def test_sequence_source_caches():
     src.values()
     src.values()
     assert len(calls) == len(src.values())
+
+
+# --- closed-form search and linear rejection against one scan per candidate ----
+
+
+def brute_search(src, degree, lo, hi, threshold):
+    ceilings, floors = [], []
+    for coeffs in product(range(lo, hi + 1), repeat=degree + 1):
+        cand = PuiseuxPoly([(c, k) for k, c in enumerate(coeffs)])
+        if fit.verify_ceiling(cand, src, threshold).verified:
+            ceilings.append(cand)
+        if fit.verify_floor(cand, src, threshold).verified:
+            floors.append(cand)
+    return fit.SearchReport(
+        ceiling=tuple(ceilings),
+        floor=tuple(floors),
+        ceiling_ambiguous=len(ceilings) > 1,
+        floor_ambiguous=len(floors) > 1,
+        candidates_tested=(hi - lo + 1) ** (degree + 1),
+        scanned_limit=src.domain.limit,
+        witness_threshold=threshold,
+    )
+
+
+def brute_reject(src, c_lo, c_hi, threshold):
+    return [
+        fit.LinearCandidateReport(
+            c,
+            fit.verify_ceiling(PuiseuxPoly.linear(c), src, threshold),
+            fit.verify_floor(PuiseuxPoly.linear(c), src, threshold),
+        )
+        for c in range(c_lo, c_hi + 1)
+    ]
+
+
+def assert_same_reports(got, want):
+    assert got == want
+    for g, w in zip(got, want):
+        assert g.ceiling.summary() == w.ceiling.summary()
+        assert g.floor.summary() == w.floor.summary()
+
+
+@st.composite
+def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2")):
+    """A polynomial with small coefficients plus small per-point noise, so
+    that envelopes in small boxes both exist and fail."""
+    kind = draw(st.sampled_from(kinds))
+    excluded = frozenset() if kind == "naturals_from_2" else draw(st.sets(st.sampled_from([2, 3, 5])))
+    dom = PrimePowerDomain(excluded, kind, draw(st.integers(2, 60)))
+    qs = [pt.q for pt in enumerate_domain(dom)]
+    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    noise = draw(st.lists(st.integers(-2, 2), min_size=len(qs), max_size=len(qs)))
+    counts = {q: sum(c * q**k for k, c in enumerate(coeffs)) + e for q, e in zip(qs, noise)}
+    return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q])
+
+
+@given(
+    integer_sources(),
+    st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, 4 if d < 3 else 2))),
+    st.integers(-4, 3),
+    st.integers(0, 4),
+)
+def test_search_matches_one_scan_per_candidate(src, degree_width, lo, threshold):
+    degree, width = degree_width
+    hi = lo + width - 1
+    assert fit.search_polynomial(src, degree, lo, hi, threshold) == brute_search(
+        src, degree, lo, hi, threshold
+    )
+
+
+@given(
+    integer_sources(kinds=("prime_powers", "primes_only")),
+    st.integers(-6, 3),
+    st.integers(0, 8),
+    st.integers(0, 4),
+)
+def test_reject_linear_matches_one_scan_per_candidate(src, c_lo, span, threshold):
+    c_hi = c_lo + span
+    assert_same_reports(
+        fit.reject_linear_family(src, c_lo, c_hi, threshold),
+        brute_reject(src, c_lo, c_hi, threshold),
+    )
+
+
+def spec_f13_src(limit=2000):
+    # counts are 3 when 3 | q - 1 and 1 otherwise
+    return monoid.zlift_source(monoid.spec_f1n(3), PrimePowerDomain(frozenset(), "prime_powers", limit))
+
+
+def test_search_threshold_zero_keeps_every_constant_past_the_extreme():
+    src = spec_f13_src()
+    rep = fit.search_polynomial(src, 0, -5, 5, 0)
+    assert rep.ceiling == tuple(PuiseuxPoly.constant(c) for c in (3, 4, 5))
+    assert rep.floor == tuple(PuiseuxPoly.constant(c) for c in range(-5, 2))
+    assert rep.ceiling_ambiguous and rep.floor_ambiguous
+    assert rep == brute_search(src, 0, -5, 5, 0)
+    # no points at all: nothing bounds c, so every candidate survives
+    empty = fit.SequenceSource("empty", PrimePowerDomain(frozenset({2}), "prime_powers", 2), lambda pt: 0)
+    assert empty.values() == []
+    rep = fit.search_polynomial(empty, 1, -1, 1, 0)
+    assert len(rep.ceiling) == len(rep.floor) == 9
+    assert rep == brute_search(empty, 1, -1, 1, 0)
+
+
+def test_search_box_beyond_the_extremes():
+    src = spec_f13_src()
+    above = fit.search_polynomial(src, 0, 4, 6, 0)  # every c > max count: no witnesses
+    assert above.ceiling == tuple(PuiseuxPoly.constant(c) for c in (4, 5, 6))
+    assert above.floor == ()
+    assert fit.search_polynomial(src, 0, 4, 6, 1).ceiling == ()
+    below = fit.search_polynomial(src, 0, -6, 0, 0)  # every c < min count
+    assert below.ceiling == ()
+    assert below.floor == tuple(PuiseuxPoly.constant(c) for c in range(-6, 1))
+    assert fit.search_polynomial(src, 0, -6, 0, 1).floor == ()
+    for lo, hi, threshold in ((4, 6, 0), (4, 6, 1), (-6, 0, 0), (-6, 0, 1)):
+        assert fit.search_polynomial(src, 0, lo, hi, threshold) == brute_search(src, 0, lo, hi, threshold)
+
+
+def test_reject_linear_every_c_violated_at_the_first_point():
+    # #G_m(F_q) = q - 1: t + c with c < -1 exceeds no count anywhere as a
+    # ceiling and fails at q = 2; t + c with c > -1 fails as a floor at q = 2
+    src = monoid.zlift_source(monoid.multiplicative_group(), PrimePowerDomain(frozenset(), "prime_powers", 300))
+    for c_lo, c_hi, mode in ((-9, -2, "ceiling"), (0, 7, "floor")):
+        reports = fit.reject_linear_family(src, c_lo, c_hi, 3)
+        assert [r.c for r in reports] == list(range(c_lo, c_hi + 1))
+        for r in reports:
+            v = getattr(r, mode)
+            assert v.status == BOUND_VIOLATED and v.witnesses == ()
+            assert (v.violation.n, v.violation.count, v.violation.candidate_value) == (2, 1, str(2 + r.c))
+        assert_same_reports(reports, brute_reject(src, c_lo, c_hi, 3))
