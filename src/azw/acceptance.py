@@ -379,7 +379,7 @@ def criterion_10() -> CriterionResult:
     primes occur."""
     t0 = time.time()
     failures = []
-    rep = elliptic.census(elliptic.FIXTURE_CURVES[0], 10**5, threads=1)
+    rep = elliptic.census(elliptic.FIXTURE_CURVES[0], 10**5)
     for name, ratio in (("plus", rep.ratio_plus), ("minus", rep.ratio_minus)):
         if not 0.5 <= ratio <= 2.0:
             failures.append(f"ratio_{name} {ratio:.3f} outside [0.5, 2.0]")

@@ -5,7 +5,7 @@ Subcommands: monoid (counts/envelopes/zeta from a JSON scheme), family
 classification, census), fit (verify / search / reject-linear), zeta
 (soule / tensor / reflect / funceq on parsed expressions), repro (the full
 acceptance suite).  Output is deterministic byte-for-byte for a fixed
-configuration, whatever the thread count.
+configuration.
 """
 
 from __future__ import annotations
@@ -13,15 +13,13 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional
 
 from . import elliptic, fit, monoid, schemes
 from .arith import PrimePowerDomain, enumerate_domain, is_prime
-from .puiseux import format_puiseux, parse_puiseux
+from .puiseux import format_puiseux, parse_fraction, parse_puiseux
 from .zeta import check_functional_equation, format_product, parse_product, reflect, soule_zeta, tensor
 
 EXIT_OK = 0
@@ -58,7 +56,6 @@ class RunConfig:
     c_from: int = 0
     c_to: int = 0
     fmt: str = "plain"
-    threads: int = 0
     criterion: Optional[int] = None
 
     def validate(self) -> None:
@@ -68,8 +65,6 @@ class RunConfig:
         for s in self.excluded:
             if not is_prime(s):
                 raise ValueError(f"excluded entry {s} is not prime")
-        if self.threads < 0:
-            raise ValueError("threads must be >= 0")
 
 
 def _parse_excluded(text: str) -> frozenset[int]:
@@ -78,13 +73,15 @@ def _parse_excluded(text: str) -> frozenset[int]:
     return frozenset(int(tok) for tok in text.split(",") if tok.strip())
 
 
-def _threads(cfg: RunConfig) -> int:
-    if cfg.threads:
-        return cfg.threads
-    env = os.environ.get("AZW_THREADS")
-    if env:
-        return max(1, int(env))
-    return os.cpu_count() or 1
+def _parse_box(text: str) -> tuple[int, int]:
+    """'LO:HI' -> (LO, HI), integers with LO <= HI."""
+    try:
+        lo, hi = map(int, text.split(":"))
+        if lo <= hi:
+            return lo, hi
+    except ValueError:
+        pass
+    raise ValueError(f"--box must be LO:HI with integers LO <= HI, not {text!r}")
 
 
 def _domain(cfg: RunConfig, extra_excluded: frozenset[int] = frozenset()) -> PrimePowerDomain:
@@ -190,16 +187,19 @@ def _emit_rows(cfg: RunConfig, header: list[str], rows: list[tuple]) -> None:
 
 
 def _run_zeta(cfg: RunConfig) -> int:
+    want = 2 if cfg.action == "tensor" else 1
+    if len(cfg.expr) != want:
+        raise ValueError(f"zeta {cfg.action} takes {want} expression(s), got {len(cfg.expr)}")
     if cfg.action == "soule":
         print(format_product(soule_zeta(parse_puiseux(cfg.expr[0]))))
     elif cfg.action == "tensor":
         z = tensor(parse_product(cfg.expr[0]), parse_product(cfg.expr[1]))
         print(format_product(z))
     elif cfg.action == "reflect":
-        sign, z = reflect(parse_product(cfg.expr[0]), Fraction(cfg.d))
+        sign, z = reflect(parse_product(cfg.expr[0]), parse_fraction(cfg.d))
         print(f"sign {sign if sign is not None else 'none'}: {format_product(z)}")
     elif cfg.action == "funceq":
-        res = check_functional_equation(parse_product(cfg.expr[0]), Fraction(cfg.d))
+        res = check_functional_equation(parse_product(cfg.expr[0]), parse_fraction(cfg.d))
         sign = res.sign if res.sign is not None else "none"
         print(f"symmetric {str(res.symmetric).lower()} sign {sign}")
     return EXIT_OK
@@ -265,9 +265,7 @@ def _run_curve(cfg: RunConfig) -> int:
     elif cfg.action == "classify":
         print(elliptic.classify_prime(curve, cfg.p))
     elif cfg.action == "census":
-        rep = elliptic.census(
-            curve, cfg.xmax, curve.bad_primes | cfg.excluded, threads=_threads(cfg)
-        )
+        rep = elliptic.census(curve, cfg.xmax, curve.bad_primes | cfg.excluded)
         if cfg.output_path:
             with open(cfg.output_path, "w", newline="", encoding="utf-8") as fh:
                 w = csv.writer(fh)
@@ -342,7 +340,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--witnesses", type=int, default=3)
     p.add_argument("--primes-only", action="store_true")
     p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
-    p.add_argument("--threads", type=int, default=0, help="0 = AZW_THREADS or cpu count")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -400,8 +397,7 @@ def config_from_args(ns: argparse.Namespace) -> RunConfig:
         if name == "exclude":
             cfg.excluded = _parse_excluded(ns.exclude)
         elif name == "box":
-            lo, hi = ns.box.split(":")
-            cfg.box = (int(lo), int(hi))
+            cfg.box = _parse_box(ns.box)
         elif name == "expr":
             cfg.expr = tuple(ns.expr)
         elif hasattr(cfg, name):

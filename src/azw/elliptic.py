@@ -2,10 +2,16 @@
 prime fields and their extensions, local zeta data, supersingular detection,
 and the champion/trailing prime census.
 
-Counts over F_p come from the quadratic-character sum
-    #E(F_p) = p + 1 + sum_x chi(x^3 + ax + b),
-evaluated with a residue table (vectorized, so 10^5-scale sweeps stay fast);
-counts over F_{p^m} follow from the trace recursion
+The Frobenius trace a_p = p + 1 - #E(F_p) comes from one of two paths,
+chosen by p alone:
+  - p <= BSGS_MIN_P: the quadratic-character sum
+        #E(F_p) = p + 1 + sum_x chi(x^3 + ax + b),
+    O(p) work on a numpy residue table;
+  - p > BSGS_MIN_P: a baby-step giant-step search for the group order in
+    the Hasse interval, O(p^(1/4)) integer operations, accepted only when
+    the order is certified unique (Mestre); otherwise the character sum.
+The character sum stays the reference that the tests compare against.
+Counts over F_{p^m} follow from the trace recursion
     a_1 = a_p,  a_k = a_p*a_{k-1} - p*a_{k-2},  #E(F_{p^m}) = p^m + 1 - a_m.
 """
 
@@ -77,7 +83,9 @@ class EllipticCurve:
         t = self._traces.get(p)
         if t is None:
             self.check_good(p)
-            t = _trace_char_sum(self.a, self.b, p)
+            t = _trace_bsgs(self.a, self.b, p) if p > BSGS_MIN_P else None
+            if t is None:
+                t = _trace_char_sum(self.a, self.b, p)
             if t * t > 4 * p:  # Hasse bound; a violation means a counting bug
                 raise RuntimeError(f"trace {t} violates the Hasse bound at p={p}")
             self._traces[p] = t
@@ -93,6 +101,106 @@ def _trace_char_sum(a: int, b: int, p: int) -> int:
     chi[(half * half) % p] = 1
     rhs = ((x * x % p) * x + (a % p) * x + (b % p)) % p
     return -int(chi[rhs].sum(dtype=np.int64))
+
+
+# Crossover: above this prime the baby-step giant-step trace costs less than
+# the character sum (both timed per prime; see CHANGES.md).  It must stay
+# above 229, below which Mestre's uniqueness can fail.
+BSGS_MIN_P = 3000
+BSGS_POINTS = 32  # x = 0..31 are tried before falling back to the character sum
+
+
+def _trace_bsgs(a: int, b: int, p: int) -> Optional[int]:
+    """a_p by a certified baby-step giant-step order search, or None.
+
+    For x = 0, 1, 2, ... with f = x^3 + ax + b nonzero mod p, the point
+    (f x, f^2) lies on E_f: y^2 = x^3 + a f^2 x + b f^3, the quadratic twist
+    of E by f, so no square root is needed.  E_f is E when f is a square and
+    the nontrivial twist otherwise, hence a_p(E_f) = chi(f) a_p.  The true
+    trace of E_f is always among the t with (p + 1 - t)P = O, so a t that is
+    the only such one in the Hasse interval is certified.  For p > 229 some
+    point of E or of its twist has a unique t (Mestre); if none of the tried
+    points has, return None.
+    """
+    bound = math.isqrt(4 * p)
+    for x in range(BSGS_POINTS):
+        f = (x * x * x + a * x + b) % p
+        if f == 0:
+            continue
+        ff = f * f % p
+        t = _unique_trace(a * ff % p, (f * x % p, ff), p, bound)
+        if t is not None:
+            return t if pow(f, (p - 1) // 2, p) == 1 else -t
+    return None
+
+
+def _unique_trace(a: int, pt: tuple[int, int], p: int, bound: int) -> Optional[int]:
+    """The t in [-bound, bound] with (p + 1 - t)pt = O, if exactly one.
+
+    pt lies on y^2 = x^3 + ax + b (b is not needed).  Every t is i*s + j for
+    one i and one |j| <= m, s = 2m + 1; then (p + 1 - i*s)pt = j*pt, found by
+    the x-coordinate of |j|*pt among the baby steps and its sign by y.
+    Returns None when two t qualify, or when the baby steps show an order
+    <= 2m + 1, which no unique t can come from.
+    """
+    m = math.isqrt(bound) + 1
+    baby: dict[int, tuple[int, int]] = {}  # x(j pt) -> (j, y(j pt)), j = 1..m
+    q = pt
+    for j in range(1, m + 1):
+        if q is None or q[1] == 0 or q[0] in baby:
+            return None
+        baby[q[0]] = (j, q[1])
+        last, q = q, _add(q, pt, a, p)
+    step = _add(q, last, a, p)  # (2m + 1)pt
+    if step is None:
+        return None
+    s = 2 * m + 1
+    top = (bound + m) // s
+    back = (step[0], p - step[1])
+    g = _mul(p + 1 + top * s, pt, a, p)  # (p + 1 - i*s)pt at i = -top
+    found = None
+    for i in range(-top, top + 1):
+        if g is None:
+            t = i * s
+        elif g[0] in baby:
+            j, y = baby[g[0]]
+            t = i * s + (j if y == g[1] else -j)
+        else:
+            t = None
+        if t is not None and -bound <= t <= bound:
+            if found is not None:
+                return None
+            found = t
+        g = _add(g, back, a, p)
+    return found
+
+
+def _add(u, v, a: int, p: int):
+    """u + v on y^2 = x^3 + ax + b over F_p, affine; None is the origin."""
+    if u is None:
+        return v
+    if v is None:
+        return u
+    x1, y1 = u
+    x2, y2 = v
+    if x1 == x2:
+        if (y1 + y2) % p == 0:
+            return None
+        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+    else:
+        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+    x3 = (lam * lam - x1 - x2) % p
+    return x3, (lam * (x1 - x3) - y1) % p
+
+
+def _mul(k: int, u, a: int, p: int):
+    """k u for k >= 1, by left-to-right double-and-add."""
+    out = u
+    for bit in bin(k)[3:]:
+        out = _add(out, out, a, p)
+        if bit == "1":
+            out = _add(out, u, a, p)
+    return out
 
 
 def count_fp(curve: EllipticCurve, p: int) -> int:
@@ -198,33 +306,18 @@ def census(
     curve: EllipticCurve,
     x_max: int,
     excluded: Optional[Iterable[int]] = None,
-    threads: int = 1,
 ) -> CensusReport:
-    """Classify every good prime p <= x_max outside the excluded set.
-
-    The prime range is processed in fixed blocks merged in ascending order,
-    so the report is identical for any thread count.  The asymptotic ratios
-    compare the extremal counts to (2/(3*pi)) * x^(3/4) / log(x); they are
-    reported in floating point for inspection only.
+    """Classify every good prime p <= x_max outside the excluded set, in
+    ascending order.  The asymptotic ratios compare the extremal counts to
+    (2/(3*pi)) * x^(3/4) / log(x); they are reported in floating point for
+    inspection only.
     """
     if x_max < 10:
         raise ValueError("x_max must be >= 10")
     s = frozenset(excluded) if excluded is not None else curve.bad_primes
     if not curve.bad_primes <= s:
         raise ValueError("excluded set must contain the curve's bad primes")
-    primes = [p for p in sieve(x_max) if p not in s]
-
-    def block(ps):
-        return [(p, curve.trace(p), classify_prime(curve, p)) for p in ps]
-
-    if threads > 1 and len(primes) > 256:
-        from concurrent.futures import ThreadPoolExecutor
-
-        chunks = [primes[i : i + 256] for i in range(0, len(primes), 256)]
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            rows = [row for part in pool.map(block, chunks) for row in part]
-    else:
-        rows = block(primes)
+    rows = [(p, curve.trace(p), classify_prime(curve, p)) for p in sieve(x_max) if p not in s]
 
     champ = tuple(p for p, _, c in rows if c == CHAMPION)
     trail = tuple(p for p, _, c in rows if c == TRAILING)

@@ -280,6 +280,14 @@ def _split_top_level(text: str) -> list[tuple[int, str]]:
     return chunks
 
 
+def parse_fraction(text: str) -> Fraction:
+    """Fraction(text), with a zero denominator reported as a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(f"zero denominator in {text!r}") from exc
+
+
 def parse_puiseux(text: str) -> PuiseuxPoly:
     """Parse sums of terms like '3t^2', '2t^{1/2}', 't^(3/2)', '-1'."""
     text = text.strip()
@@ -293,9 +301,9 @@ def parse_puiseux(text: str) -> PuiseuxPoly:
         if not m or (m.group("c") is None and m.group("pc") is None and m.group("t") is None):
             raise ValueError(f"cannot parse term {chunk!r}")
         if m.group("pc") is not None:
-            coeff = Fraction(int(m.group("pc")), int(m.group("pd")))
+            coeff = parse_fraction(f"{m.group('pc')}/{m.group('pd')}")
         elif m.group("c") is not None:
-            coeff = Fraction(m.group("c"))
+            coeff = parse_fraction(m.group("c"))
         else:
             coeff = Fraction(1)
         if m.group("t") is None:
@@ -303,9 +311,9 @@ def parse_puiseux(text: str) -> PuiseuxPoly:
         elif m.group("ie") is not None:
             exp = Fraction(int(m.group("ie")))
         elif m.group("be") is not None:
-            exp = Fraction(m.group("be").replace(" ", ""))
+            exp = parse_fraction(m.group("be").replace(" ", ""))
         elif m.group("pe") is not None:
-            exp = Fraction(m.group("pe").replace(" ", ""))
+            exp = parse_fraction(m.group("pe").replace(" ", ""))
         else:
             exp = Fraction(1)
         terms.append((sign * coeff, exp))

@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .puiseux import PuiseuxPoly
+from .puiseux import PuiseuxPoly, parse_fraction
 
 
 class FormalProduct:
@@ -170,11 +170,11 @@ def _parse_factor_group(text: str, sign: int, into: list) -> None:
             root = Fraction(0)
             e = m.group("sie") or m.group("sfe")
         else:
-            root = Fraction(m.group("root").replace(" ", ""))
+            root = parse_fraction(m.group("root").replace(" ", ""))
             if m.group("op") == "+":
                 root = -root
             e = m.group("ie") or m.group("fe")
-        mult = Fraction(e.replace(" ", "")) if e else Fraction(1)
+        mult = parse_fraction(e.replace(" ", "")) if e else Fraction(1)
         into.append((root, sign * mult))
         pos = m.end()
 

@@ -1,4 +1,7 @@
+import hashlib
 import json
+
+import pytest
 
 from azw import cli, monoid
 from azw.puiseux import format_puiseux, parse_puiseux
@@ -109,19 +112,22 @@ def test_curve_census_files(tmp_path, capsys):
     assert json.loads(out)["x_max"] == 2000
 
 
-def test_census_thread_determinism(tmp_path, capsys):
+def test_census_csv_is_pinned(tmp_path, capsys):
     csv_in = tmp_path / "curves.csv"
     csv_in.write_text("mx,-1,0\n")
-    outputs = []
-    for threads in ("1", "4"):
-        out_csv = tmp_path / f"census{threads}.csv"
-        code, _, _ = run_cli(
-            capsys, "curve", "census", "--in", str(csv_in), "--label", "mx",
-            "--xmax", "3000", "--out", str(out_csv), "--threads", threads,
-        )
-        assert code == 0
-        outputs.append(out_csv.read_bytes())
-    assert outputs[0] == outputs[1]
+    out_csv = tmp_path / "census.csv"
+    code, _, _ = run_cli(
+        capsys, "curve", "census", "--in", str(csv_in), "--label", "mx",
+        "--xmax", "3000", "--out", str(out_csv),
+    )
+    assert code == 0
+    text = out_csv.read_bytes()
+    lines = text.decode().splitlines()
+    assert lines[:3] == ["p,a_p,class", "5,-2,other", "7,0,supersingular"]
+    assert lines[-1] == "2999,0,supersingular" and len(lines) == 429
+    assert hashlib.sha256(text).hexdigest() == (
+        "64401875581cbfcdc9940366921583c85f03e66726eafe4ee7ef38e9c32c9745"
+    )
 
 
 def test_fit_verify_exit_codes(capsys):
@@ -192,17 +198,6 @@ def test_malformed_inputs_exit_1(tmp_path, capsys):
     assert code == 1
 
 
-def test_threads_resolution(monkeypatch):
-    cfg = cli.RunConfig("curve")
-    monkeypatch.setenv("AZW_THREADS", "7")
-    assert cli._threads(cfg) == 7
-    cfg.threads = 2  # explicit flag beats the environment
-    assert cli._threads(cfg) == 2
-    monkeypatch.delenv("AZW_THREADS")
-    cfg.threads = 0
-    assert cli._threads(cfg) >= 1
-
-
 def test_repro_single_cheap_criterion(capsys):
     code, out, _ = run_cli(capsys, "repro", "--criterion", "1")
     assert code == 0
@@ -231,3 +226,21 @@ def test_fit_verify_without_candidate_exits_1(capsys):
     code, out, err = run_cli(capsys, "fit", "verify", "--source", "An:n=3", "--limit", "50")
     assert code == 1 and out == ""
     assert err.startswith("error:") and "--candidate" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("zeta", "tensor", "s"), "takes 2 expression(s), got 1"),
+        (("zeta", "soule", "t", "t^2"), "takes 1 expression(s), got 2"),
+        (("zeta", "reflect", "s", "--d", "1/0"), "zero denominator"),
+        (("fit", "verify", "--source", "An:n=3", "--candidate", "t^(1/0)"), "zero denominator"),
+        (("fit", "search", "--source", "An:n=3", "--box", "5:1"), "--box"),
+        (("fit", "search", "--source", "An:n=3", "--box", "5"), "--box"),
+    ],
+    ids=["tensor-one-product", "soule-two-polynomials", "reflect-d-1/0", "candidate-1/0", "box-5:1", "box-5"],
+)
+def test_bad_input_exits_1_with_one_line(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith("error:") and message in err and err.count("\n") == 1

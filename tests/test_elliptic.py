@@ -1,9 +1,12 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
-from azw import elliptic
-from azw.arith import PrimePowerDomain, build_field, isqrt, sieve
+from azw import elliptic, fit
+from azw.acceptance import CEILING_E, FLOOR_E
+from azw.arith import PrimePowerDomain, build_field, is_prime, isqrt, sieve
 from azw.elliptic import EllipticCurve
 from azw.puiseux import parse_puiseux
 
@@ -212,13 +215,6 @@ def test_census_supersingular_nonempty():
     assert all(p % 4 == 3 for p in rep.supersingular)  # CM by i
 
 
-def test_census_determinism_across_threads():
-    one = elliptic.census(E_MX, 5000, threads=1)
-    four = elliptic.census(E_MX, 5000, threads=4)
-    assert one.rows == four.rows
-    assert one.champion == four.champion
-
-
 def test_census_validation():
     with pytest.raises(ValueError):
         elliptic.census(E_MX, 5)
@@ -267,3 +263,79 @@ def test_count_source_validation():
     ok = elliptic.count_source(E_MX, PrimePowerDomain(E_MX.bad_primes, "prime_powers", 100))
     values = dict((pt.q, a) for pt, a in ok.values())
     assert values[5] == 8 and values[49] == 64
+
+
+def test_bsgs_trace_equals_char_sum_from_the_crossover_to_20000():
+    for curve in elliptic.FIXTURE_CURVES:
+        for p in sieve(20000):
+            if p <= elliptic.BSGS_MIN_P or p in curve.bad_primes:
+                continue
+            assert elliptic._trace_bsgs(curve.a, curve.b, p) == elliptic._trace_char_sum(curve.a, curve.b, p), p
+
+
+def test_bsgs_trace_equals_char_sum_near_a_million():
+    primes = [p for p in range(10**6, 10**6 + 200) if is_prime(p)][:10]
+    assert len(primes) == 10
+    for curve in elliptic.FIXTURE_CURVES:
+        for p in primes:
+            assert elliptic._trace_bsgs(curve.a, curve.b, p) == elliptic._trace_char_sum(curve.a, curve.b, p), p
+
+
+@given(
+    st.integers(-50, 50),
+    st.integers(-50, 50),
+    st.integers(elliptic.BSGS_MIN_P + 1, 2 * 10**5),
+)
+def test_bsgs_trace_equals_char_sum_on_random_curves(a, b, n):
+    assume(4 * a**3 + 27 * b**2 != 0)
+    p = next(q for q in range(n, 2 * n) if is_prime(q))
+    assume(p <= 2 * 10**5 and p not in EllipticCurve(a, b).bad_primes)
+    assert elliptic._trace_bsgs(a, b, p) == elliptic._trace_char_sum(a, b, p)
+
+
+def test_bsgs_only_the_twist_decides(monkeypatch):
+    # y^2 = x^3 - x at p = 3529: f(0) = f(1) = 0, and x = 2..11 give squares
+    # f(x), so points of E itself, each with two or more t in the Hasse
+    # interval (found here by one scalar multiplication per t); x = 12 is the
+    # first non-square and decides on the twist
+    a, b, p = -1, 0, 3529
+    assert elliptic._trace_char_sum(a, b, p) == -70
+    bound = isqrt(4 * p)
+    for x in range(2, 12):
+        f = (x**3 + a * x + b) % p
+        assert pow(f, (p - 1) // 2, p) == 1
+        ff, pt = f * f % p, (f * x % p, f * f % p)
+        ts = [t for t in range(-bound, bound + 1) if elliptic._mul(p + 1 - t, pt, a * ff % p, p) is None]
+        assert len(ts) >= 2 and -70 in ts
+        assert elliptic._unique_trace(a * ff % p, pt, p, bound) is None
+    assert elliptic._trace_bsgs(a, b, p) == -70
+    # with x = 0..11 only, every tried point is ambiguous: no value, and the
+    # trace comes from the character sum
+    monkeypatch.setattr(elliptic, "BSGS_POINTS", 12)
+    assert elliptic._trace_bsgs(a, b, p) is None
+    assert EllipticCurve(a, b).trace(p) == -70
+
+
+# (a, b) of a curve and of a 2-isogenous curve: isogenous curves have the
+# same a_p at every prime good for both, so each curve checks the other
+# without the character sum (above the crossover both traces come from BSGS)
+ISOGENOUS_PAIRS = {
+    "x^3-x~x^3+4x": ((-1, 0), (4, 0)),
+    "x^3+x~x^3-4x": ((1, 0), (-4, 0)),
+    "x^3+1~x^3-15x+22": ((0, 1), (-15, 22)),
+}
+
+
+@pytest.mark.parametrize("pair", ISOGENOUS_PAIRS.values(), ids=ISOGENOUS_PAIRS.keys())
+def test_isogenous_curves_agree(pair):
+    e1, e2 = (EllipticCurve(a, b) for a, b in pair)
+    bad = e1.bad_primes | e2.bad_primes
+    for p in sieve(20000):
+        if p not in bad:
+            assert e1.trace(p) == e2.trace(p), p
+    assert elliptic.census(e1, 20000, bad).rows == elliptic.census(e2, 20000, bad).rows
+    dom = PrimePowerDomain(bad, "prime_powers", 20000)
+    for check, f in ((fit.verify_ceiling, CEILING_E), (fit.verify_floor, FLOOR_E)):
+        v1, v2 = (check(f, elliptic.count_source(e, dom), 2, puiseux_mode=True) for e in (e1, e2))
+        assert v1.verified
+        assert (v1.status, v1.witnesses, v1.violation) == (v2.status, v2.witnesses, v2.violation)
