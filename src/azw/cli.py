@@ -62,15 +62,18 @@ class RunConfig:
         for name in ("limit", "xmax", "witnesses", "m"):
             if getattr(self, name) is not None and getattr(self, name) < 1:
                 raise ValueError(f"{name} must be positive")
+        if self.c_from > self.c_to:
+            raise ValueError(f"--c-from {self.c_from} is greater than --c-to {self.c_to}")
         for s in self.excluded:
             if not is_prime(s):
                 raise ValueError(f"excluded entry {s} is not prime")
 
 
 def _parse_excluded(text: str) -> frozenset[int]:
-    if not text:
-        return frozenset()
-    return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+    try:
+        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+    except ValueError:
+        raise ValueError(f"--exclude must be comma-separated integers, not {text!r}") from None
 
 
 def _parse_box(text: str) -> tuple[int, int]:
@@ -101,7 +104,10 @@ def _spec_args(spec: str) -> tuple[str, dict[str, str]]:
 def _int_arg(spec: str, kv: dict[str, str], key: str) -> int:
     if key not in kv:
         raise ValueError(f"spec {spec!r} needs {key}=")
-    return int(kv[key])
+    try:
+        return int(kv[key])
+    except ValueError:
+        raise ValueError(f"spec {spec!r} needs an integer {key}=, not {kv[key]!r}") from None
 
 
 def _family(spec: str):

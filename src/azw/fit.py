@@ -89,10 +89,9 @@ class Verdict:
 
 def _value_descriptor(f: PuiseuxPoly, n: int) -> str:
     if f.is_ordinary:
-        v = f.eval_exact(n)
-        return str(v.numerator) if v.denominator == 1 else f"{v.numerator}/{v.denominator}"
-    lo, hi = f._interval(n, 64)
-    return f"[{float(lo):.6f}, {float(hi):.6f}]"
+        return str(f.eval_exact(n))
+    lo, hi, den = f._bounds(n, 64)
+    return f"[{lo / den:.6f}, {hi / den:.6f}]"
 
 
 def _verdict(

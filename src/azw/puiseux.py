@@ -1,12 +1,14 @@
 """Puiseux polynomials: finite sums a*t^e with rational a and rational e >= 0.
 
-Values at positive integers are pinned down exactly.  f(q) is a polynomial
-expression in q^(1/d) (d the common exponent denominator, positive real
-branch), so it is either exactly rational -- decided by a radical
-decomposition, never by precision -- or irrational, in which case
-scaled-integer interval arithmetic separates it from every integer after
-finitely many doublings.  floor_eval/ceil_eval therefore never return a
-wrong answer and never rely on floating point.
+Values at positive integers are pinned down exactly.  Each polynomial is
+compiled once into integers: f(q) = (1/L) * sum A_n * rho^n, where
+rho = q^(1/d) (positive real branch) and d, L are the common exponent and
+coefficient denominators.  One integer root R = floor(rho * 2^b) bounds each
+term between (R/2^b)^n and ((R+1)/2^b)^n, and R^d = radicand makes it exact.
+Otherwise f(q) is rational only if its irrational parts cancel, which a
+radical decomposition decides, or it is irrational and doubling b separates
+it from every integer after finitely many steps.  floor_eval/ceil_eval
+therefore never return a wrong answer and never rely on floating point.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ class PuiseuxPoly:
     """Immutable canonical form: terms (coeff, exponent) by decreasing exponent,
     no zero coefficients, exponents distinct and >= 0."""
 
-    __slots__ = ("terms", "_int_terms")
+    __slots__ = ("terms", "_compiled")
 
     def __init__(self, terms=()):
         merged: dict[Fraction, Fraction] = {}
@@ -39,11 +41,14 @@ class PuiseuxPoly:
             (c, e) for e, c in sorted(merged.items(), reverse=True) if c != 0
         )
         object.__setattr__(self, "terms", canon)
-        # the terms as ints when every coefficient and exponent is an integer
-        ints = None
-        if all(c.denominator == 1 and e.denominator == 1 for c, e in canon):
-            ints = tuple((c.numerator, e.numerator) for c, e in canon)
-        object.__setattr__(self, "_int_terms", ints)
+        # (d, L, ((A_n, n), ...), N): f(q) = (1/L) sum A_n q^(n/d), N the top n
+        d = reduce(math.lcm, (e.denominator for _, e in canon), 1)
+        lcd = reduce(math.lcm, (c.denominator for c, _ in canon), 1)
+        ints = tuple(
+            (c.numerator * (lcd // c.denominator), e.numerator * (d // e.denominator))
+            for c, e in canon
+        )
+        object.__setattr__(self, "_compiled", (d, lcd, ints, ints[0][1] if ints else 0))
 
     def __setattr__(self, *_):
         raise AttributeError("PuiseuxPoly is immutable")
@@ -101,7 +106,7 @@ class PuiseuxPoly:
     @property
     def exponent_denominator(self) -> int:
         """Least common denominator d of all exponents (1 for the zero poly)."""
-        return reduce(math.lcm, (e.denominator for _, e in self.terms), 1)
+        return self._compiled[0]
 
     @property
     def is_ordinary(self) -> bool:
@@ -110,7 +115,7 @@ class PuiseuxPoly:
     @property
     def is_integer_valued(self) -> bool:
         """Integer coefficients and exponents, so f(q) is an integer."""
-        return self._int_terms is not None
+        return self._compiled[:2] == (1, 1)
 
     def leading(self) -> tuple[Fraction, Fraction]:
         if not self.terms:
@@ -128,15 +133,10 @@ class PuiseuxPoly:
         """Exact rational value at q; q must be a perfect d-th power."""
         if q < 1:
             raise ValueError("evaluation domain is q >= 1")
-        d = self.exponent_denominator
-        root = iroot(q, d)
-        if root**d != q:
-            raise ValueError(f"{q} is not a perfect {d}-th power")
-        total = Fraction(0)
-        for c, e in self.terms:
-            n = e.numerator * (d // e.denominator)
-            total += c * root**n
-        return total
+        lo, hi, den = self._bounds(q, 0)
+        if lo != hi:
+            raise ValueError(f"{q} is not a perfect {self.exponent_denominator}-th power")
+        return Fraction(lo, den)
 
     def _rational_value(self, q: int) -> Fraction | None:
         """f(q) as a Fraction when it is rational, else None.
@@ -164,62 +164,60 @@ class PuiseuxPoly:
                 return None
         return buckets.get(Fraction(0), Fraction(0))
 
-    def _interval(self, q: int, bits: int) -> tuple[Fraction, Fraction]:
-        """Rational lo <= f(q) <= hi from per-term scaled-integer root bounds."""
-        lo = hi = Fraction(0)
-        scale = 1 << bits
-        for c, e in self.terms:
-            if e.denominator == 1:
-                v = c * q**e.numerator
+    def _bounds(self, q: int, bits: int) -> tuple[int, int, int]:
+        """Integers lo, hi, den with lo/den <= f(q) <= hi/den, from
+        R = floor(q^(1/d) * 2^bits); lo == hi exactly when q is a perfect
+        d-th power, which for d = 1 is every q."""
+        d, den, terms, top = self._compiled
+        radicand = q << (d * bits)
+        r = iroot(radicand, d)
+        if r**d == radicand:  # rho = r / 2^bits exactly
+            v = 0
+            for a, n in terms:
+                v += a * r**n << bits * (top - n)
+            return v, v, den << bits * top
+        lo = hi = 0
+        for a, n in terms:
+            if n % d == 0:
+                v = a * q ** (n // d) << bits * top
                 lo += v
                 hi += v
                 continue
-            num, den = e.numerator, e.denominator
-            radicand = q**num << (den * bits)
-            r = iroot(radicand, den)  # floor(q^(num/den) * 2^bits)
-            t_lo = Fraction(r, scale)
-            t_hi = t_lo if r**den == radicand else Fraction(r + 1, scale)
-            if c > 0:
-                lo += c * t_lo
-                hi += c * t_hi
+            shift = bits * (top - n)
+            below = a * r**n << shift
+            above = a * (r + 1) ** n << shift
+            if a > 0:
+                lo += below
+                hi += above
             else:
-                lo += c * t_hi
-                hi += c * t_lo
-        return lo, hi
+                lo += above
+                hi += below
+        return lo, hi, den << bits * top
 
     def floor_eval(self, q: int) -> int:
         """Exact floor of f(q) for integer q >= 1."""
-        return self._rounded(q, math.floor)
+        return self._rounded(q, False)
 
     def ceil_eval(self, q: int) -> int:
         """Exact ceiling of f(q) for integer q >= 1."""
-        return self._rounded(q, math.ceil)
+        return self._rounded(q, True)
 
-    def _int_value(self, q: int) -> int | None:
-        """Exact value for ordinary integer-coefficient polynomials."""
-        if self._int_terms is None:
-            return None
-        return sum(c * q**e for c, e in self._int_terms)
-
-    def _rounded(self, q: int, rnd) -> int:
+    def _rounded(self, q: int, up: bool) -> int:
         if q < 1:
             raise ValueError("evaluation domain is q >= 1")
-        v = self._int_value(q)
-        if v is not None:
-            return v
-        if self.is_ordinary:
-            return rnd(self.eval_exact(q))
-        bits = 64
-        checked_exact = False
+        bits = 0 if self._compiled[0] == 1 else 64  # an ordinary f is exact at 0 bits
         while bits <= _MAX_BITS:
-            lo, hi = self._interval(q, bits)
-            if rnd(lo) == rnd(hi):
-                return rnd(lo)
-            if bits >= 512 and not checked_exact:
+            lo, hi, den = self._bounds(q, bits)
+            if up:  # ceil(x) = -floor(-x)
+                lo, hi = -hi, -lo
+            low = lo // den
+            if low == hi // den:
+                return -low if up else low
+            if bits == 512:
                 exact = self._rational_value(q)
                 if exact is not None:
-                    return rnd(exact)
-                checked_exact = True  # irrational: intervals must resolve
+                    return math.ceil(exact) if up else math.floor(exact)
+                # irrational: the bounds must separate it from every integer
             bits *= 2
         raise RuntimeError(f"interval refinement did not resolve at q={q}")
 

@@ -237,10 +237,42 @@ def test_fit_verify_without_candidate_exits_1(capsys):
         (("fit", "verify", "--source", "An:n=3", "--candidate", "t^(1/0)"), "zero denominator"),
         (("fit", "search", "--source", "An:n=3", "--box", "5:1"), "--box"),
         (("fit", "search", "--source", "An:n=3", "--box", "5"), "--box"),
+        (
+            ("fit", "reject-linear", "--source", "An:n=3", "--c-from", "5", "--c-to", "1", "--limit", "50"),
+            "--c-from 5 is greater than --c-to 1",
+        ),
+        (("fit", "verify", "--source", "An:n=3", "--candidate", "t", "--exclude", "x"), "--exclude"),
+        (("fit", "verify", "--source", "curve:a=x,b=1", "--candidate", "t"), "integer a=, not 'x'"),
     ],
-    ids=["tensor-one-product", "soule-two-polynomials", "reflect-d-1/0", "candidate-1/0", "box-5:1", "box-5"],
+    ids=[
+        "tensor-one-product", "soule-two-polynomials", "reflect-d-1/0", "candidate-1/0",
+        "box-5:1", "box-5", "c-range-5:1", "exclude-x", "curve-a=x",
+    ],
 )
 def test_bad_input_exits_1_with_one_line(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith("error:") and message in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "mode, line",
+    [
+        (
+            "ceiling",
+            "ceiling candidate on #A3(F_q): bound_violated (witnesses 2/3, limit 50, excluded {});"
+            " violated at n=7: count 4 vs f(n)=[2.645751, 2.645751]",
+        ),
+        (
+            "floor",
+            "floor candidate on #A3(F_q): bound_violated (witnesses 0/3, limit 50, excluded {});"
+            " violated at n=2: count 0 vs f(n)=[1.414214, 1.414214]",
+        ),
+    ],
+)
+def test_puiseux_violation_text_is_pinned(capsys, mode, line):
+    code, out, _ = run_cli(
+        capsys, "fit", "verify", "--source", "An:n=3", "--candidate", "t^{1/2}",
+        "--puiseux", "--limit", "50", "--mode", mode,
+    )
+    assert code == 2 and out == line + "\n"

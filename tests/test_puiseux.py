@@ -1,9 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
-from azw.arith import isqrt
+from azw.arith import iroot, isqrt
 from azw.puiseux import (
     PuiseuxPoly,
     expand_binomial,
@@ -86,6 +89,65 @@ def test_monotone_envelope_two_exact_methods():
         for q in range(1, 10**5 + 1):
             assert up.floor_eval(q) == q + isqrt(4 * g * g * q) + 1
             assert down.ceil_eval(q) == q - isqrt(4 * g * g * q) + 1
+
+
+def test_refinement_past_64_bits():
+    # the square root of k^2 -+ 1 and the cube root of k^3 -+ 1 lie within
+    # about 2^-84 and 2^-167 of k, so the 64-bit bounds still contain k and
+    # one of floor and ceiling needs more bits
+    k = 10**25
+    for d in (2, 3):
+        root = PuiseuxPoly.t_power(Fraction(1, d))
+        for q, floor in ((k**d - 1, k - 1), (k**d + 1, k)):
+            lo, hi, den = root._bounds(q, 64)
+            assert lo <= k * den <= hi and lo < hi
+            assert root.floor_eval(q) == floor
+            assert root.ceil_eval(q) == floor + 1
+
+
+def reference_rounded(f: PuiseuxPoly, q: int, rnd) -> int:
+    """rnd(f(q)) from per-term Fraction intervals: each t^(num/den) lies
+    between r and r + 1 over 2^bits, r = iroot(q^num * 2^(den*bits), den)."""
+    if f.is_ordinary:
+        return rnd(sum((c * q**e.numerator for c, e in f.terms), Fraction(0)))
+    bits = 64
+    while True:
+        lo = hi = Fraction(0)
+        for c, e in f.terms:
+            num, den = e.numerator, e.denominator
+            radicand = q**num << (den * bits)
+            r = iroot(radicand, den)
+            t_lo = Fraction(r, 1 << bits)
+            t_hi = t_lo if r**den == radicand else Fraction(r + 1, 1 << bits)
+            lo += c * (t_lo if c > 0 else t_hi)
+            hi += c * (t_hi if c > 0 else t_lo)
+        if rnd(lo) == rnd(hi):
+            return rnd(lo)
+        if bits == 512:
+            exact = f._rational_value(q)
+            if exact is not None:
+                return rnd(exact)
+        bits *= 2
+
+
+TERMS = st.lists(
+    st.tuples(
+        st.builds(Fraction, st.integers(-9, 9), st.integers(1, 6)),
+        st.builds(Fraction, st.integers(0, 12), st.integers(1, 6)),
+    ),
+    max_size=4,
+)
+
+
+@given(terms=TERMS, q=st.integers(1, 10**6), k=st.integers(1, 12))
+def test_compiled_evaluator_matches_per_term_fraction_intervals(terms, q, k):
+    f = PuiseuxPoly(terms)
+    d = f.exponent_denominator
+    for x in (q, k**d):
+        assert f.floor_eval(x) == reference_rounded(f, x, math.floor)
+        assert f.ceil_eval(x) == reference_rounded(f, x, math.ceil)
+    exact = sum((c * k ** int(e * d) for c, e in f.terms), Fraction(0))
+    assert f.eval_exact(k**d) == exact
 
 
 def test_value_at_one():
