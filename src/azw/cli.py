@@ -128,10 +128,16 @@ def _load_curve(cfg: RunConfig) -> elliptic.EllipticCurve:
     if not cfg.input_path:
         raise ValueError("need either --a/--b or --in with --label")
     with open(cfg.input_path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
+        for n, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().startswith("#") or row[0].strip() == "label":
                 continue
-            label, a, b = row[0].strip(), int(row[1]), int(row[2])
+            try:
+                label, a, b = row[0].strip(), int(row[1]), int(row[2])
+            except (IndexError, ValueError):
+                row_text = ",".join(row)
+                raise ValueError(
+                    f"{cfg.input_path} row {n}: need label,a,b with integers a and b, not {row_text!r}"
+                ) from None
             if not cfg.label or label == cfg.label:
                 return elliptic.EllipticCurve(a, b, label)
     raise ValueError(f"curve {cfg.label!r} not found in {cfg.input_path}")

@@ -2,15 +2,20 @@
 prime fields and their extensions, local zeta data, supersingular detection,
 and the champion/trailing prime census.
 
-The Frobenius trace a_p = p + 1 - #E(F_p) comes from one of two paths,
-chosen by p alone:
-  - p <= BSGS_MIN_P: the quadratic-character sum
+The Frobenius trace a_p = p + 1 - #E(F_p) comes from one of three paths,
+chosen by the curve and by p:
+  - ab = 0 (complex multiplication, j = 0 or 1728): a closed form from
+    Cornacchia's p = x^2 + y^2 or x^2 + 3y^2 and the quartic or sextic
+    residue symbol of the coefficient, O(log p) integer operations;
+  - otherwise, p <= BSGS_MIN_P: the quadratic-character sum
         #E(F_p) = p + 1 + sum_x chi(x^3 + ax + b),
     O(p) work on a numpy residue table;
-  - p > BSGS_MIN_P: a baby-step giant-step search for the group order in
-    the Hasse interval, O(p^(1/4)) integer operations, accepted only when
-    the order is certified unique (Mestre); otherwise the character sum.
-The character sum stays the reference that the tests compare against.
+  - otherwise, p > BSGS_MIN_P: a baby-step giant-step search for the group
+    order in the Hasse interval, O(p^(1/4)) integer operations, accepted
+    only when the order is certified unique (Mestre); otherwise the
+    character sum.
+The character sum and the baby-step giant-step search stay the references
+that the tests compare the closed form against.
 Counts over F_{p^m} follow from the trace recursion
     a_1 = a_p,  a_k = a_p*a_{k-1} - p*a_{k-2},  #E(F_{p^m}) = p^m + 1 - a_m.
 """
@@ -83,13 +88,21 @@ class EllipticCurve:
         t = self._traces.get(p)
         if t is None:
             self.check_good(p)
-            t = _trace_bsgs(self.a, self.b, p) if p > BSGS_MIN_P else None
-            if t is None:
-                t = _trace_char_sum(self.a, self.b, p)
-            if t * t > 4 * p:  # Hasse bound; a violation means a counting bug
-                raise RuntimeError(f"trace {t} violates the Hasse bound at p={p}")
-            self._traces[p] = t
+            t = self._traces[p] = _trace(self.a, self.b, p)
         return t
+
+
+def _trace(a: int, b: int, p: int) -> int:
+    """a_p at a prime p that the caller has checked to be good."""
+    if a * b == 0:
+        t = _trace_cm(a, b, p)
+    else:
+        t = _trace_bsgs(a, b, p) if p > BSGS_MIN_P else None
+        if t is None:
+            t = _trace_char_sum(a, b, p)
+    if t * t > 4 * p:  # Hasse bound; a violation means a counting bug
+        raise RuntimeError(f"trace {t} violates the Hasse bound at p={p}")
+    return t
 
 
 def _trace_char_sum(a: int, b: int, p: int) -> int:
@@ -101,6 +114,74 @@ def _trace_char_sum(a: int, b: int, p: int) -> int:
     chi[(half * half) % p] = 1
     rhs = ((x * x % p) * x + (a % p) * x + (b % p)) % p
     return -int(chi[rhs].sum(dtype=np.int64))
+
+
+def _trace_cm(a: int, b: int, p: int) -> int:
+    """a_p of y^2 = x^3 + ax (b = 0) or y^2 = x^3 + b (a = 0) at a good p.
+
+    Ireland-Rosen, ch. 18, Thms 4-5.  j = 1728: a_p = 0 for p = 3 mod 4;
+    otherwise p = pi conj(pi) with pi = x + yi primary (x + y = 1 mod 4,
+    y even) and a_p = 2 Re(conj(chi) pi), chi = (-a/pi)_4.  j = 0: a_p = 0
+    for p = 2 mod 3; otherwise pi = u + vw (w^2 + w + 1 = 0) primary
+    (u = 2, v = 0 mod 3) and a_p = -Tr(conj(chi) pi), chi = (4b/pi)_6.
+    The symbol is read in F_p = Z[i]/pi or Z[w]/pi, where i or w maps to
+    the root of unity r with pi(r) = 0.
+    """
+    if b == 0:
+        if p % 4 == 3:
+            return 0
+        r = _root_of_unity(p, 4)
+        x, y = _cornacchia(p, 1, r)
+        if x % 2 == 0:
+            x, y = y, x
+        if (x + y) % 4 != 1:
+            x, y = -x, -y
+        i = r if (x + y * r) % p == 0 else p - r
+        # chi = 1, i, -1, -i; then conj(chi) pi has real part x, y, -x, -y
+        traces = {1: 2 * x, i: 2 * y, p - 1: -2 * x, p - i: -2 * y}
+        s = pow(-a, (p - 1) // 4, p)
+    else:
+        if p % 3 == 2:
+            return 0
+        r = _root_of_unity(p, 3)
+        x, y = _cornacchia(p, 3, 2 * r + 1)  # (2r + 1)^2 = -3
+        u, v = x + y, 2 * y  # x + y sqrt(-3) = u + vw
+        while v % 3:
+            u, v = -v, u - v  # the associate w pi
+        if u % 3 == 1:
+            u, v = -u, -v
+        w = r if (u + v * r) % p == 0 else p - 1 - r
+        # chi = +-1, +-w, +-w^2; then conj(chi) pi = +-pi, +-w^2 pi, +-w pi,
+        # whose traces are 2u - v, 2v - u, -u - v
+        w2 = w * w % p
+        traces = {1: v - 2 * u, w: u - 2 * v, w2: u + v}
+        traces.update({p - z: -t for z, t in traces.items()})
+        s = pow(4 * b, (p - 1) // 6, p)
+    if s not in traces:
+        raise RuntimeError(f"residue symbol {s} is no root of unity at p={p}")
+    return traces[s]
+
+
+def _root_of_unity(p: int, k: int) -> int:
+    """A root of unity of order k (3 or 4) in F_p, p = 1 mod k: g^((p-1)/k)
+    for the first g = 2, 3, ... that gives one."""
+    for g in range(2, p):
+        r = pow(g, (p - 1) // k, p)
+        if r != 1 and (k == 3 or r * r % p == p - 1):
+            return r
+    raise RuntimeError(f"no root of unity of order {k} mod {p}")
+
+
+def _cornacchia(p: int, d: int, r: int) -> tuple[int, int]:
+    """(x, y) with x^2 + d y^2 = p, from a root r of -d mod p (Cohen, 1.5.2)."""
+    prev, x = p, r
+    while x * x > p:
+        prev, x = x, prev % x
+    y2, rem = divmod(p - x * x, d)
+    y = math.isqrt(y2)
+    if rem or y * y != y2:
+        raise RuntimeError(f"Cornacchia found no x^2 + {d}y^2 = {p}")
+    return x, y
 
 
 # Crossover: above this prime the baby-step giant-step trace costs less than
@@ -317,7 +398,13 @@ def census(
     s = frozenset(excluded) if excluded is not None else curve.bad_primes
     if not curve.bad_primes <= s:
         raise ValueError("excluded set must contain the curve's bad primes")
-    rows = [(p, curve.trace(p), classify_prime(curve, p)) for p in sieve(x_max) if p not in s]
+    # the sieve's primes outside s are good, so each fills the cache unchecked
+    traces = curve._traces
+    primes = [p for p in sieve(x_max) if p not in s]
+    for p in primes:
+        if p not in traces:
+            traces[p] = _trace(curve.a, curve.b, p)
+    rows = [(p, traces[p], classify_prime(curve, p)) for p in primes]
 
     champ = tuple(p for p, _, c in rows if c == CHAMPION)
     trail = tuple(p for p, _, c in rows if c == TRAILING)

@@ -255,6 +255,15 @@ def test_bad_input_exits_1_with_one_line(capsys, argv, message):
     assert err.startswith("error:") and message in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("row", ["E1,1", "E1,x,1"], ids=["two-fields", "a=x"])
+def test_bad_curve_csv_row_exits_1_with_one_line(tmp_path, capsys, row):
+    path = tmp_path / "bad.csv"
+    path.write_text(f"label,a,b\n{row}\n")
+    code, out, err = run_cli(capsys, "curve", "count", "--in", str(path), "--p", "5")
+    assert code == 1 and out == ""
+    assert err == f"error: {path} row 2: need label,a,b with integers a and b, not {row!r}\n"
+
+
 @pytest.mark.parametrize(
     "mode, line",
     [

@@ -316,9 +316,88 @@ def test_bsgs_only_the_twist_decides(monkeypatch):
     assert EllipticCurve(a, b).trace(p) == -70
 
 
+# b = 0 with these a, and a = 0 with these b, give every quartic and every
+# sextic residue symbol below 5000 (checked by test_cm_trace_equals_char_sum)
+CM_CURVES = [(a, 0) for a in (1, -1, 2, -2, 3, -3, 4, -4, 5, -7)] + [
+    (0, b) for b in (1, -1, 2, -2, 3, -3, 4, 16, -16, 432)
+]
+
+
+def cm_case(a, b, p, t):
+    """The index of t among the values a_p may take by the closed form: for
+    b = 0, 2 Re(u pi) over the units u = 1, -i, -1, i; for a = 0,
+    -Tr(u pi) over u = 1, w^2, w, -1, -w^2, -w.  The primary pi is found
+    by search over the representations of p, apart from _trace_cm."""
+    n = isqrt(4 * p)
+    if b == 0:
+        x, y = next(
+            (x, y)
+            for y in range(0, isqrt(p) + 1, 2)
+            for x in (isqrt(p - y * y), -isqrt(p - y * y))
+            if x * x + y * y == p and (x + y) % 4 == 1
+        )
+        return [2 * x, 2 * y, -2 * x, -2 * y].index(t)
+    u, v = next(
+        (u, v)
+        for v in range(-n, n + 1)
+        if v % 3 == 0 and 4 * p >= 3 * v * v
+        for u in ((v + isqrt(4 * p - 3 * v * v)) // 2, (v - isqrt(4 * p - 3 * v * v)) // 2)
+        if u * u - u * v + v * v == p and u % 3 == 2
+    )
+    return [v - 2 * u, u - 2 * v, u + v, 2 * u - v, 2 * v - u, -u - v].index(t)
+
+
+def test_cm_trace_equals_char_sum():
+    cases = {4: set(), 6: set()}  # units hit, for j = 1728 and j = 0
+    for a, b in CM_CURVES:
+        curve = EllipticCurve(a, b)
+        for p in sieve(5000):
+            if p in curve.bad_primes:
+                continue
+            t = elliptic._trace_char_sum(a, b, p)
+            assert elliptic._trace_cm(a, b, p) == t, (a, b, p)
+            if t:
+                cases[4 if b == 0 else 6].add(cm_case(a, b, p, t))
+    assert cases == {4: set(range(4)), 6: set(range(6))}
+
+
+def test_cm_trace_equals_bsgs_near_a_million():
+    primes = [p for p in range(10**6, 10**6 + 400) if is_prime(p)][:20]
+    assert len(primes) == 20
+    for a, b in CM_CURVES:
+        for p in primes:
+            assert elliptic._trace_cm(a, b, p) == elliptic._trace_bsgs(a, b, p), (a, b, p)
+
+
+@given(st.booleans(), st.integers(-10**6, 10**6), st.integers(5, 2 * 10**5))
+def test_cm_trace_equals_char_sum_on_random_curves(j0, c, n):
+    assume(c != 0)
+    a, b = (0, c) if j0 else (c, 0)
+    p = next(q for q in range(n, 2 * n) if is_prime(q))
+    assume(p <= 2 * 10**5 and p not in EllipticCurve(a, b).bad_primes)
+    assert elliptic._trace_cm(a, b, p) == elliptic._trace_char_sum(a, b, p)
+
+
+def test_trace_dispatch(monkeypatch):
+    calls = []
+    for name in ("_trace_cm", "_trace_bsgs", "_trace_char_sum"):
+        original = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
+    for (a, b), p, path in (
+        ((0, 7), 11, "_trace_cm"),
+        ((3, 0), 10007, "_trace_cm"),
+        ((-1, 1), 101, "_trace_char_sum"),
+        ((-1, 1), 10007, "_trace_bsgs"),
+    ):
+        calls.clear()
+        EllipticCurve(a, b).trace(p)
+        assert calls == [path], (a, b, p)
+
+
 # (a, b) of a curve and of a 2-isogenous curve: isogenous curves have the
-# same a_p at every prime good for both, so each curve checks the other
-# without the character sum (above the crossover both traces come from BSGS)
+# same a_p at every prime good for both, so each curve checks the other.
+# x^3 + 1 takes the closed form and x^3 - 15x + 22 the character sum and,
+# above the crossover, BSGS, so that pair checks one path against the other
 ISOGENOUS_PAIRS = {
     "x^3-x~x^3+4x": ((-1, 0), (4, 0)),
     "x^3+x~x^3-4x": ((1, 0), (-4, 0)),
