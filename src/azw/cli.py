@@ -393,7 +393,10 @@ def build_parser() -> argparse.ArgumentParser:
     ft.add_argument("--mode", choices=("ceiling", "floor"), default="ceiling")
     ft.add_argument("--puiseux", action="store_true")
     ft.add_argument("--degree", type=int, default=1)
-    ft.add_argument("--box", default="-5:5", help="coefficient range LO:HI")
+    ft.add_argument(
+        "--box", default="-5:5",
+        help="coefficient range, written --box=LO:HI as in --box=-3:3 (a separate -3:3 is read as an option)",
+    )
     ft.add_argument("--c-from", dest="c_from", type=int, default=0)
     ft.add_argument("--c-to", dest="c_to", type=int, default=0)
     _add_common(ft)

@@ -14,11 +14,12 @@ integer A, A <= f(n) iff A <= floor(f(n)), and f(n) <= A iff ceil(f(n)) <= A.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from collections import Counter, defaultdict
+from collections import defaultdict
 from dataclasses import dataclass, field, replace
 from itertools import accumulate
-from itertools import product as iter_product
 from typing import Callable, Optional
+
+import numpy as np
 
 from .arith import DomainPoint, PrimePowerDomain, enumerate_domain
 from .puiseux import PuiseuxPoly
@@ -27,6 +28,11 @@ VERIFIED = "verified"
 BOUND_VIOLATED = "bound_violated"
 INSUFFICIENT_WITNESSES = "insufficient_witnesses"
 NON_INTEGRAL_AT_ONE = "non_integral_at_one"
+
+# Most offsets (or constant-term counts) search_polynomial holds for one block
+# of coefficient tuples: about 2 MB of int64 whatever the box, unless a single
+# tuple's row (one offset per domain point) is longer.
+SEARCH_BLOCK_ENTRIES = 1 << 18
 
 
 @dataclass
@@ -250,6 +256,13 @@ class SearchReport:
     witness_threshold: int
 
 
+def _offset_dtype(counts: list[int], q_max: int, coeff_lo: int, coeff_hi: int, degree: int):
+    """int64 when no offset A_q - rest(q), and no partial sum of one, can
+    reach 2^62; otherwise object (Python ints), so that no value wraps."""
+    reach = max(abs(coeff_lo), abs(coeff_hi)) * sum(q_max**k for k in range(1, degree + 1))
+    return np.int64 if max(map(abs, counts), default=0) + reach < 2**62 else object
+
+
 def search_polynomial(
     src: SequenceSource,
     degree: int,
@@ -264,37 +277,58 @@ def search_polynomial(
     verified envelopes of the same kind would have to cross infinitely
     often); several survivors are reported with the ambiguity flag set.
 
-    One pass per tuple of higher coefficients decides every constant term c:
-    with D_q = A_q - rest(q), c + rest is verified as a ceiling exactly when
+    The offsets D_q = A_q - rest(q) of a tuple of higher coefficients decide
+    every constant term c: c + rest is verified as a ceiling exactly when
     c >= max D and #{q : D_q = c} reaches the threshold, and as a floor
-    exactly when c <= min D and the same count does.
+    exactly when c <= min D and the same count does.  The tuples are taken
+    in blocks, one row of offsets each, of at most SEARCH_BLOCK_ENTRIES
+    entries; one bincount over a block gives every row's count of every c.
     """
     if degree < 0 or degree > 3:
         raise ValueError("search supports degrees 0..3")
     width = coeff_hi - coeff_lo + 1
     if width < 1 or width ** (degree + 1) > 10**6:
         raise ValueError("coefficient box too large (limit 10^6 combinations)")
-    coeffs = range(coeff_lo, coeff_hi + 1)
     points = src.values()
+    counts = [count for _, count in points]
+    qs = [pt.q for pt, _ in points]
+    dtype = _offset_dtype(counts, max(qs, default=0), coeff_lo, coeff_hi, degree)
+    a = np.array(counts, dtype=dtype)
+    powers = np.array([[q**k for q in qs] for k in range(1, degree + 1)], dtype=dtype)
+    constants = np.arange(coeff_lo, coeff_hi + 1)
+    tuples = width**degree
+    block = max(1, SEARCH_BLOCK_ENTRIES // max(len(points), width, 1))
     ceilings: list[tuple[int, ...]] = []
     floors: list[tuple[int, ...]] = []
-    for higher in iter_product(coeffs, repeat=degree):
-        offsets = Counter(
-            count - sum(c * pt.q**k for k, c in enumerate(higher, 1)) for pt, count in points
-        )
-        top = max(offsets, default=coeff_lo)
-        bottom = min(offsets, default=coeff_hi)
-        ceilings += [
-            (c, *higher) for c in range(max(coeff_lo, top), coeff_hi + 1)
-            if offsets[c] >= witness_threshold
-        ]
-        floors += [
-            (c, *higher) for c in range(coeff_lo, min(coeff_hi, bottom) + 1)
-            if offsets[c] >= witness_threshold
-        ]
+    for start in range(0, tuples, block):
+        index = np.arange(start, min(start + block, tuples))
+        rows = len(index)
+        # row r: the (start + r)-th tuple of itertools.product(box, repeat=degree)
+        higher = np.array(
+            [coeff_lo + index // width ** (degree - k) % width for k in range(1, degree + 1)],
+            dtype=np.int64,
+        ).reshape(degree, rows).T
+        offsets = np.tile(a, (rows, 1))
+        for k in range(degree):
+            offsets -= higher[:, k : k + 1].astype(dtype) * powers[k]
+        top = offsets.max(axis=1, initial=coeff_lo)
+        bottom = offsets.min(axis=1, initial=coeff_hi)
+        inside = (offsets >= coeff_lo) & (offsets <= coeff_hi)
+        row_of, _ = np.nonzero(inside)
+        slots = row_of * width + (offsets[inside] - coeff_lo).astype(np.int64)
+        enough = np.bincount(slots, minlength=rows * width).reshape(rows, width) >= witness_threshold
+        higher_rows = higher.tolist()
+        for survivors, ok in (
+            (ceilings, enough & (constants >= top[:, None])),
+            (floors, enough & (constants <= bottom[:, None])),
+        ):
+            rows_ok, constants_ok = np.nonzero(ok)
+            survivors += [
+                (coeff_lo + j, *higher_rows[r]) for r, j in zip(rows_ok.tolist(), constants_ok.tolist())
+            ]
 
     def polys(survivors: list[tuple[int, ...]]) -> tuple[PuiseuxPoly, ...]:
-        # sorted tuples are the order in which iter_product lists candidates
+        # sorted tuples are the order in which itertools.product lists candidates
         return tuple(PuiseuxPoly([(c, k) for k, c in enumerate(t)]) for t in sorted(survivors))
 
     return SearchReport(

@@ -173,6 +173,17 @@ def test_fit_search_and_reject(capsys):
     assert "c=0: ceiling bound_violated" in out
 
 
+def test_fit_box_help_names_the_form_that_parses(capsys):
+    with pytest.raises(SystemExit):
+        cli.main(["fit", "--help"])
+    assert "--box=-3:3" in " ".join(capsys.readouterr().out.split())
+    code, out, _ = run_cli(capsys, "fit", "search", "--source", "An:n=3", "--box=-3:3", "--limit", "500")
+    assert code == 0 and "ceiling: t - 2" in out
+    with pytest.raises(SystemExit) as exc:  # argparse reads a separate -3:3 as an option
+        cli.main(["fit", "search", "--source", "An:n=3", "--box", "-3:3"])
+    assert exc.value.code == 2 and "expected one argument" in capsys.readouterr().err
+
+
 def test_monoid_source_spec(tmp_path, capsys):
     path = tmp_path / "f13.json"
     monoid.save_scheme(monoid.spec_f1n(3), str(path))

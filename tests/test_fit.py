@@ -1,5 +1,6 @@
 from itertools import product
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -280,13 +281,17 @@ def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2
     st.integers(0, 3).flatmap(lambda d: st.tuples(st.just(d), st.integers(1, 4 if d < 3 else 2))),
     st.integers(-4, 3),
     st.integers(0, 4),
+    st.integers(1, 3),
 )
-def test_search_matches_one_scan_per_candidate(src, degree_width, lo, threshold):
+def test_search_matches_one_scan_per_candidate(src, degree_width, lo, threshold, block_rows):
     degree, width = degree_width
     hi = lo + width - 1
-    assert fit.search_polynomial(src, degree, lo, hi, threshold) == brute_search(
-        src, degree, lo, hi, threshold
-    )
+    # blocks of 1-3 tuples, so that the tuples of one search split across blocks
+    entries = block_rows * max(len(src.values()), width, 1)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(fit, "SEARCH_BLOCK_ENTRIES", entries)
+        got = fit.search_polynomial(src, degree, lo, hi, threshold)
+    assert got == brute_search(src, degree, lo, hi, threshold)
 
 
 @given(
@@ -349,3 +354,29 @@ def test_reject_linear_every_c_violated_at_the_first_point():
             assert v.status == BOUND_VIOLATED and v.witnesses == ()
             assert (v.violation.n, v.violation.count, v.violation.candidate_value) == (2, 1, str(2 + r.c))
         assert_same_reports(reports, brute_reject(src, c_lo, c_hi, 3))
+
+
+def test_search_beyond_int64_is_exact():
+    # wrapped int64 offsets would read these counts as q + 1 and keep t + 1
+    # as both ceiling and floor
+    src = fit.SequenceSource(
+        "2^64 + q + 1", PrimePowerDomain(frozenset(), "prime_powers", 30), lambda pt: 2**64 + pt.q + 1
+    )
+    rep = fit.search_polynomial(src, 1, -3, 3, 1)
+    assert rep.ceiling == rep.floor == ()
+    assert rep == brute_search(src, 1, -3, 3, 1)
+
+
+@pytest.mark.parametrize("big, dtype", [(2**62 - 10, np.int64), (2**62 - 9, object)], ids=["under", "over"])
+def test_search_at_the_int64_bound(big, dtype):
+    # prime powers up to 10 end at q = 9, so the box [-1, 1] adds at most 9 in
+    # degree 1: the offsets stay below 2^62 exactly when big + 9 does
+    src = fit.SequenceSource(
+        "q + 1 but one", PrimePowerDomain(frozenset(), "prime_powers", 10),
+        lambda pt: big if pt.q == 7 else pt.q + 1,
+    )
+    assert fit._offset_dtype([count for _, count in src.values()], 9, -1, 1, 1) is dtype
+    rep = fit.search_polynomial(src, 1, -1, 1, 3)
+    assert rep.ceiling == ()
+    assert rep.floor == (parse_puiseux("t + 1"),)
+    assert rep == brute_search(src, 1, -1, 1, 3)
