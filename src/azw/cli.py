@@ -4,18 +4,19 @@ Subcommands: monoid (counts/envelopes/zeta from a JSON scheme), family
 (punctured-line / punctured-torus / Pell sweeps), curve (counts, prime
 classification, census), fit (verify / search / reject-linear), zeta
 (soule / tensor / reflect / funceq on parsed expressions), repro (the full
-acceptance suite).  Output is deterministic byte-for-byte for a fixed
-configuration.
+acceptance suite).  Each handler validates the options it reads before it
+computes or prints anything.  Output is deterministic byte-for-byte for a
+fixed configuration.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
-from dataclasses import dataclass
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import elliptic, fit, monoid, schemes
 from .arith import PrimePowerDomain, enumerate_domain, is_prime
@@ -28,52 +29,48 @@ EXIT_VIOLATED = 2
 EXIT_NO_WITNESSES = 3
 
 
-@dataclass
-class RunConfig:
-    subcommand: str
-    action: str = ""
-    expr: tuple[str, ...] = ()
-    source_spec: str = ""
-    family_spec: str = ""
-    input_path: str = ""
-    output_path: str = ""
-    summary_path: str = ""
-    label: str = ""
-    a: Optional[int] = None
-    b: Optional[int] = None
-    p: Optional[int] = None
-    m: int = 1
-    d: Optional[str] = None
-    limit: int = 10000
-    xmax: int = 1000
-    witnesses: int = 3
-    excluded: frozenset[int] = frozenset()
-    primes_only: bool = False
-    puiseux: bool = False
-    mode: str = "ceiling"
-    degree: int = 1
-    box: tuple[int, int] = (-5, 5)
-    c_from: int = 0
-    c_to: int = 0
-    fmt: str = "plain"
-    criterion: Optional[int] = None
+class Family(NamedTuple):
+    """An explicit family: its one spec key, and what each subcommand needs."""
 
-    def validate(self) -> None:
-        for name in ("limit", "xmax", "witnesses", "m"):
-            if getattr(self, name) is not None and getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
-        if self.c_from > self.c_to:
-            raise ValueError(f"--c-from {self.c_from} is greater than --c-to {self.c_to}")
-        for s in self.excluded:
-            if not is_prime(s):
-                raise ValueError(f"excluded entry {s} is not prime")
+    key: str
+    build: Callable  # the key's integer -> the family object
+    count: Callable  # (obj, p, m) -> count
+    envelopes: Callable  # (obj, excluded) -> (ceiling, floor)
+    source: Callable  # (obj, domain) -> SequenceSource
+    qfiber: Optional[Callable] = None  # obj -> (ceiling, floor) of the q-fiber
 
 
-def _parse_excluded(text: str) -> frozenset[int]:
+FAMILIES = {
+    "An": Family("n", int, schemes.count_an, schemes.envelopes_an, schemes.an_source),
+    "Gn": Family("n", int, schemes.count_gn, schemes.envelopes_gn, schemes.gn_source),
+    "pell": Family(
+        "delta", schemes.PellConic, schemes.count_pell, schemes.envelopes_pell,
+        schemes.pell_source, schemes.qfiber_envelopes_pell,
+    ),
+}
+# spec head -> the keys it takes
+SPEC_KEYS = {head: (fam.key,) for head, fam in FAMILIES.items()} | {
+    "curve": ("a", "b", "file", "label"),
+    "monoid": ("file",),
+}
+
+
+def _positive(flag: str, value: int) -> int:
+    if value < 1:
+        raise ValueError(f"{flag} must be positive, not {value}")
+    return value
+
+
+def _excluded(text: str) -> frozenset[int]:
+    """'2,3' -> {2, 3}; every entry must be prime."""
     try:
-        return frozenset(int(tok) for tok in text.split(",") if tok.strip())
+        primes = frozenset(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"--exclude must be comma-separated integers, not {text!r}") from None
+    for s in sorted(primes):
+        if not is_prime(s):
+            raise ValueError(f"excluded entry {s} is not prime")
+    return primes
 
 
 def _parse_box(text: str) -> tuple[int, int]:
@@ -87,18 +84,36 @@ def _parse_box(text: str) -> tuple[int, int]:
     raise ValueError(f"--box must be LO:HI with integers LO <= HI, not {text!r}")
 
 
-def _domain(cfg: RunConfig, extra_excluded: frozenset[int] = frozenset()) -> PrimePowerDomain:
-    kind = "primes_only" if cfg.primes_only else "prime_powers"
-    return PrimePowerDomain(cfg.excluded | extra_excluded, kind, cfg.limit)
+def _domain(ns: argparse.Namespace) -> PrimePowerDomain:
+    """The domain of --limit, --exclude and --primes-only."""
+    kind = "primes_only" if ns.primes_only else "prime_powers"
+    return PrimePowerDomain(_excluded(ns.exclude), kind, _positive("--limit", ns.limit))
 
 
-def _spec_args(spec: str) -> tuple[str, dict[str, str]]:
-    """Split 'head:k=v,k=v' into its head and arguments."""
-    try:
-        head, args = spec.split(":", 1)
-        return head, dict(part.split("=", 1) for part in args.split(","))
-    except ValueError as exc:
-        raise ValueError(f"malformed spec {spec!r}") from exc
+def _parse_spec(spec: str, heads) -> tuple[str, dict[str, str]]:
+    """Split 'head:k=v,...' into its head and arguments; 'monoid:PATH' reads
+    as 'monoid:file=PATH'.  Refuses a head outside heads, a key its head does
+    not take, a repeated key and an empty value."""
+    head, colon, rest = spec.partition(":")
+    if head not in heads:
+        raise ValueError(f"unknown spec head {head!r} in {spec!r}; expected one of {', '.join(heads)}")
+    if head == "monoid" and colon and not rest.startswith("file="):
+        rest = "file=" + rest
+    keys = SPEC_KEYS[head]
+    kv: dict[str, str] = {}
+    for part in rest.split(","):
+        key, eq, value = part.partition("=")
+        if not eq:
+            raise ValueError(f"malformed spec {spec!r}; write {head}:key=value,...")
+        if key not in keys:
+            takes = ", ".join(k + "=" for k in keys)
+            raise ValueError(f"spec {spec!r} has unknown key {key!r}; {head} takes {takes}")
+        if key in kv:
+            raise ValueError(f"spec {spec!r} repeats {key}=")
+        if not value:
+            raise ValueError(f"spec {spec!r} gives no value for {key}=")
+        kv[key] = value
+    return head, kv
 
 
 def _int_arg(spec: str, kv: dict[str, str], key: str) -> int:
@@ -110,248 +125,201 @@ def _int_arg(spec: str, kv: dict[str, str], key: str) -> int:
         raise ValueError(f"spec {spec!r} needs an integer {key}=, not {kv[key]!r}") from None
 
 
-def _family(spec: str):
+def _family(spec: str) -> tuple[Family, object]:
     """Parse 'An:n=3', 'Gn:n=5' or 'pell:delta=5'."""
-    head, kv = _spec_args(spec)
-    if head == "An":
-        return ("An", _int_arg(spec, kv, "n"))
-    if head == "Gn":
-        return ("Gn", _int_arg(spec, kv, "n"))
-    if head == "pell":
-        return ("pell", schemes.PellConic(_int_arg(spec, kv, "delta")))
-    raise ValueError(f"unknown family {head!r}")
+    head, kv = _parse_spec(spec, FAMILIES)
+    fam = FAMILIES[head]
+    return fam, fam.build(_int_arg(spec, kv, fam.key))
 
 
-def _load_curve(cfg: RunConfig) -> elliptic.EllipticCurve:
-    if cfg.a is not None and cfg.b is not None:
-        return elliptic.EllipticCurve(cfg.a, cfg.b, cfg.label)
-    if not cfg.input_path:
-        raise ValueError("need either --a/--b or --in with --label")
-    with open(cfg.input_path, newline="", encoding="utf-8") as fh:
+def _load_curve(path: str, label: str) -> elliptic.EllipticCurve:
+    """The curve named label, or the first curve, of a label,a,b CSV file."""
+    with open(path, newline="", encoding="utf-8") as fh:
         for n, row in enumerate(csv.reader(fh), 1):
             if not row or row[0].strip().startswith("#") or row[0].strip() == "label":
                 continue
             try:
-                label, a, b = row[0].strip(), int(row[1]), int(row[2])
+                name, a, b = row[0].strip(), int(row[1]), int(row[2])
             except (IndexError, ValueError):
-                row_text = ",".join(row)
+                text = ",".join(row)
                 raise ValueError(
-                    f"{cfg.input_path} row {n}: need label,a,b with integers a and b, not {row_text!r}"
+                    f"{path} row {n}: need label,a,b with integers a and b, not {text!r}"
                 ) from None
-            if not cfg.label or label == cfg.label:
-                return elliptic.EllipticCurve(a, b, label)
-    raise ValueError(f"curve {cfg.label!r} not found in {cfg.input_path}")
+            if not label or name == label:
+                return elliptic.EllipticCurve(a, b, name)
+    raise ValueError(f"curve {label!r} not found in {path}")
 
 
-def _source(cfg: RunConfig) -> fit.SequenceSource:
+def _source(spec: str, dom: PrimePowerDomain) -> fit.SequenceSource:
     """Build a sequence source from a spec string.
 
     Forms: 'An:n=3', 'Gn:n=5', 'pell:delta=5', 'curve:a=-1,b=0',
-    'curve:file=PATH,label=L', 'monoid:file=PATH'.
+    'curve:file=PATH,label=L', 'monoid:file=PATH' or 'monoid:PATH'.
     """
-    spec = cfg.source_spec
-    head = spec.split(":", 1)[0]
-    if head in ("An", "Gn", "pell"):
-        kind, obj = _family(spec)
-        dom = _domain(cfg)
-        if kind == "An":
-            return schemes.an_source(obj, dom)
-        if kind == "Gn":
-            return schemes.gn_source(obj, dom)
-        return schemes.pell_source(obj, dom)
-    if head == "curve":
-        kv = _spec_args(spec)[1]
-        if "file" in kv:
-            curve = _load_curve(
-                RunConfig("curve", input_path=kv["file"], label=kv.get("label", ""))
-            )
-        else:
-            curve = elliptic.EllipticCurve(_int_arg(spec, kv, "a"), _int_arg(spec, kv, "b"))
-        dom = _domain(cfg, extra_excluded=curve.bad_primes)
-        if cfg.primes_only:
-            return fit.SequenceSource(
-                f"#E(F_p), E: {curve.label}", dom, lambda pt: elliptic.count_fp(curve, pt.p)
-            )
-        return elliptic.count_source(curve, dom)
+    if spec.partition(":")[0] in FAMILIES:
+        fam, obj = _family(spec)
+        return fam.source(obj, dom)
+    head, kv = _parse_spec(spec, SPEC_KEYS)
     if head == "monoid":
-        path = spec.split(":", 1)[1]
-        if path.startswith("file="):
-            path = path[5:]
-        x = monoid.load_scheme(path)
-        return monoid.zlift_source(x, _domain(cfg))
-    raise ValueError(f"unknown source spec {spec!r}")
+        return monoid.zlift_source(monoid.load_scheme(kv["file"]), dom)
+    if "file" in kv:
+        if "a" in kv or "b" in kv:
+            raise ValueError(f"spec {spec!r} takes either a=,b= or file=, not both")
+        curve = _load_curve(kv["file"], kv.get("label", ""))
+    else:
+        a, b = _int_arg(spec, kv, "a"), _int_arg(spec, kv, "b")
+        curve = elliptic.EllipticCurve(a, b, kv.get("label", ""))
+    dom = dataclasses.replace(dom, excluded=dom.excluded | curve.bad_primes)
+    if dom.kind == "primes_only":
+        return fit.SequenceSource(
+            f"#E(F_p), E: {curve.label}", dom, lambda pt: elliptic.count_fp(curve, pt.p)
+        )
+    return elliptic.count_source(curve, dom)
 
 
 # --- subcommand handlers -------------------------------------------------------
 
 
-def _emit_rows(cfg: RunConfig, header: list[str], rows: list[tuple]) -> None:
-    if cfg.fmt == "json":
+def _emit_counts(fmt: str, rows: list[tuple]) -> None:
+    """Print (p, m, q, count) rows as plain text, CSV or JSON."""
+    header = ("p", "m", "q", "count")
+    if fmt == "json":
         print(json.dumps([dict(zip(header, r)) for r in rows], indent=2, sort_keys=True))
-        return
-    if cfg.fmt == "csv":
-        w = csv.writer(sys.stdout)
-        w.writerow(header)
-        w.writerows(rows)
-        return
-    for r in rows:
-        print(" ".join(str(v) for v in r))
+    elif fmt == "csv":
+        csv.writer(sys.stdout).writerows([header, *rows])
+    else:
+        for r in rows:
+            print(" ".join(map(str, r)))
 
 
-def _run_zeta(cfg: RunConfig) -> int:
-    want = 2 if cfg.action == "tensor" else 1
-    if len(cfg.expr) != want:
-        raise ValueError(f"zeta {cfg.action} takes {want} expression(s), got {len(cfg.expr)}")
-    if cfg.action == "soule":
-        print(format_product(soule_zeta(parse_puiseux(cfg.expr[0]))))
-    elif cfg.action == "tensor":
-        z = tensor(parse_product(cfg.expr[0]), parse_product(cfg.expr[1]))
-        print(format_product(z))
-    elif cfg.action == "reflect":
-        sign, z = reflect(parse_product(cfg.expr[0]), parse_fraction(cfg.d))
+def _print_envelopes(pair, qfiber=None) -> None:
+    """Print a (ceiling, floor) pair, then the q-fiber's pair when given."""
+    for prefix, env in (("", pair), ("qfiber ", qfiber)):
+        if env:
+            print(f"{prefix}ceiling: {format_puiseux(env[0])}")
+            print(f"{prefix}floor: {format_puiseux(env[1])}")
+
+
+def _run_zeta(ns: argparse.Namespace) -> int:
+    want = 2 if ns.action == "tensor" else 1
+    if len(ns.expr) != want:
+        raise ValueError(f"zeta {ns.action} takes {want} expression(s), got {len(ns.expr)}")
+    if ns.action == "soule":
+        print(format_product(soule_zeta(parse_puiseux(ns.expr[0]))))
+    elif ns.action == "tensor":
+        print(format_product(tensor(parse_product(ns.expr[0]), parse_product(ns.expr[1]))))
+    elif ns.action == "reflect":
+        sign, z = reflect(parse_product(ns.expr[0]), parse_fraction(ns.d))
         print(f"sign {sign if sign is not None else 'none'}: {format_product(z)}")
-    elif cfg.action == "funceq":
-        res = check_functional_equation(parse_product(cfg.expr[0]), parse_fraction(cfg.d))
-        sign = res.sign if res.sign is not None else "none"
-        print(f"symmetric {str(res.symmetric).lower()} sign {sign}")
+    else:
+        res = check_functional_equation(parse_product(ns.expr[0]), parse_fraction(ns.d))
+        print(f"symmetric {str(res.symmetric).lower()} sign {'none' if res.sign is None else res.sign}")
     return EXIT_OK
 
 
-def _run_monoid(cfg: RunConfig) -> int:
-    x = monoid.load_scheme(cfg.input_path)
-    if cfg.action == "counts":
-        rows = [
-            (pt.p, pt.m, pt.q, monoid.count_f1n(x, pt.q - 1))
-            for pt in enumerate_domain(_domain(cfg))
-        ]
-        _emit_rows(cfg, ["p", "m", "q", "count"], rows)
-    elif cfg.action == "envelopes":
-        ceil_poly = monoid.ceiling_poly(x)
-        floor_poly = monoid.floor_poly(x, cfg.excluded)
-        qc, qf = monoid.qfiber_ceiling_floor(x)
-        print(f"ceiling: {format_puiseux(ceil_poly)}")
-        print(f"floor: {format_puiseux(floor_poly)}")
-        print(f"qfiber ceiling: {format_puiseux(qc)}")
-        print(f"qfiber floor: {format_puiseux(qf)}")
-    elif cfg.action == "zeta":
-        print(f"zeta ceiling: {format_product(monoid.zeta_product(x))}")
-        print(
-            "zeta floor: "
-            + format_product(monoid.zeta_floor_product(x, cfg.excluded))
-        )
+def _run_monoid(ns: argparse.Namespace) -> int:
+    dom = _domain(ns)
+    x = monoid.load_scheme(ns.input_path)
+    if ns.action == "counts":
+        rows = [(pt.p, pt.m, pt.q, monoid.count_f1n(x, pt.q - 1)) for pt in enumerate_domain(dom)]
+        _emit_counts(ns.fmt, rows)
+    elif ns.action == "envelopes":
+        pair = (monoid.ceiling_poly(x), monoid.floor_poly(x, dom.excluded))
+        _print_envelopes(pair, monoid.qfiber_ceiling_floor(x))
+    else:
+        ceiling, floor = monoid.zeta_product(x), monoid.zeta_floor_product(x, dom.excluded)
+        print(f"zeta ceiling: {format_product(ceiling)}")
+        print(f"zeta floor: {format_product(floor)}")
     return EXIT_OK
 
 
-def _run_family(cfg: RunConfig) -> int:
-    kind, obj = _family(cfg.family_spec)
-    if cfg.action == "counts":
-        dom = _domain(cfg)
-        counters = {
-            "An": lambda pt: schemes.count_an(obj, pt.p, pt.m),
-            "Gn": lambda pt: schemes.count_gn(obj, pt.p, pt.m),
-            "pell": lambda pt: schemes.count_pell(obj, pt.p, pt.m),
-        }
-        rows = [(pt.p, pt.m, pt.q, counters[kind](pt)) for pt in enumerate_domain(dom)]
-        _emit_rows(cfg, ["p", "m", "q", "count"], rows)
-    elif cfg.action == "envelopes":
-        env = {
-            "An": lambda: schemes.envelopes_an(obj, cfg.excluded),
-            "Gn": lambda: schemes.envelopes_gn(obj, cfg.excluded),
-            "pell": lambda: schemes.envelopes_pell(obj, cfg.excluded),
-        }[kind]()
-        print(f"ceiling: {format_puiseux(env[0])}")
-        print(f"floor: {format_puiseux(env[1])}")
-        if kind == "pell":
-            qc, qf = schemes.qfiber_envelopes_pell(obj)
-            print(f"qfiber ceiling: {format_puiseux(qc)}")
-            print(f"qfiber floor: {format_puiseux(qf)}")
+def _run_family(ns: argparse.Namespace) -> int:
+    fam, obj = _family(ns.family_spec)
+    dom = _domain(ns)
+    if ns.action == "counts":
+        rows = [(pt.p, pt.m, pt.q, fam.count(obj, pt.p, pt.m)) for pt in enumerate_domain(dom)]
+        _emit_counts(ns.fmt, rows)
+    else:
+        _print_envelopes(fam.envelopes(obj, dom.excluded), fam.qfiber(obj) if fam.qfiber else None)
     return EXIT_OK
 
 
-def _run_curve(cfg: RunConfig) -> int:
-    curve = _load_curve(cfg)
-    if cfg.action in ("count", "classify") and cfg.p is None:
-        raise ValueError(f"curve {cfg.action} needs --p")
-    if cfg.action == "count":
-        print(elliptic.count_extension(curve, cfg.p, cfg.m))
-    elif cfg.action == "classify":
-        print(elliptic.classify_prime(curve, cfg.p))
-    elif cfg.action == "census":
-        rep = elliptic.census(curve, cfg.xmax, curve.bad_primes | cfg.excluded)
-        if cfg.output_path:
-            with open(cfg.output_path, "w", newline="", encoding="utf-8") as fh:
-                w = csv.writer(fh)
-                w.writerow(["p", "a_p", "class"])
-                w.writerows(rep.rows)
-        summary = {
-            "x_max": rep.x_max,
-            "counts": rep.counts(),
-            "ratio_plus": rep.ratio_plus,
-            "ratio_minus": rep.ratio_minus,
-        }
+def _run_curve(ns: argparse.Namespace) -> int:
+    excluded = _excluded(ns.exclude)
+    m, xmax = _positive("--m", ns.m), _positive("--xmax", ns.xmax)
+    if ns.action in ("count", "classify") and ns.p is None:
+        raise ValueError(f"curve {ns.action} needs --p")
+    if ns.a is not None and ns.b is not None:
+        curve = elliptic.EllipticCurve(ns.a, ns.b, ns.label)
+    elif ns.input_path:
+        curve = _load_curve(ns.input_path, ns.label)
+    else:
+        raise ValueError("need either --a/--b or --in with --label")
+    if ns.action == "count":
+        print(elliptic.count_extension(curve, ns.p, m))
+    elif ns.action == "classify":
+        print(elliptic.classify_prime(curve, ns.p))
+    else:
+        rep = elliptic.census(curve, xmax, curve.bad_primes | excluded)
+        if ns.output_path:
+            with open(ns.output_path, "w", newline="", encoding="utf-8") as fh:
+                csv.writer(fh).writerows([("p", "a_p", "class"), *rep.rows])
+        summary = dict(x_max=rep.x_max, counts=rep.counts(),
+                       ratio_plus=rep.ratio_plus, ratio_minus=rep.ratio_minus)
         text = json.dumps(summary, indent=2, sort_keys=True)
-        if cfg.summary_path:
-            with open(cfg.summary_path, "w", encoding="utf-8") as fh:
+        if ns.summary_path:
+            with open(ns.summary_path, "w", encoding="utf-8") as fh:
                 fh.write(text + "\n")
         print(text)
     return EXIT_OK
 
 
-def _verdict_exit(v: fit.Verdict) -> int:
-    if v.verified:
-        return EXIT_OK
-    if v.status == fit.INSUFFICIENT_WITNESSES:
-        return EXIT_NO_WITNESSES
-    return EXIT_VIOLATED  # bound violation, or f(1) not an integer
-
-
-def _run_fit(cfg: RunConfig) -> int:
-    if cfg.action == "verify" and not cfg.expr[0].strip():
+def _run_fit(ns: argparse.Namespace) -> int:
+    witnesses = _positive("--witnesses", ns.witnesses)
+    lo, hi = _parse_box(ns.box)
+    if ns.c_from > ns.c_to:
+        raise ValueError(f"--c-from {ns.c_from} is greater than --c-to {ns.c_to}")
+    if ns.action == "verify" and not ns.candidate.strip():
         raise ValueError("fit verify needs --candidate")
-    src = _source(cfg)
-    if cfg.action == "verify":
-        cand = parse_puiseux(cfg.expr[0])
-        check = fit.verify_ceiling if cfg.mode == "ceiling" else fit.verify_floor
-        v = check(cand, src, cfg.witnesses, puiseux_mode=cfg.puiseux)
+    cand = parse_puiseux(ns.candidate) if ns.action == "verify" else None
+    src = _source(ns.source_spec, _domain(ns))
+    if ns.action == "verify":
+        check = fit.verify_ceiling if ns.mode == "ceiling" else fit.verify_floor
+        v = check(cand, src, witnesses, puiseux_mode=ns.puiseux)
         print(v.summary())
-        return _verdict_exit(v)
-    if cfg.action == "search":
-        rep = fit.search_polynomial(src, cfg.degree, cfg.box[0], cfg.box[1], cfg.witnesses)
+        if v.status == fit.INSUFFICIENT_WITNESSES:
+            return EXIT_NO_WITNESSES
+        return EXIT_OK if v.verified else EXIT_VIOLATED  # violated, or f(1) not an integer
+    if ns.action == "search":
+        rep = fit.search_polynomial(src, ns.degree, lo, hi, witnesses)
         print(f"tested {rep.candidates_tested} candidates to limit {rep.scanned_limit}")
-        for kind, cands, flag in (
-            ("ceiling", rep.ceiling, rep.ceiling_ambiguous),
-            ("floor", rep.floor, rep.floor_ambiguous),
-        ):
-            names = ", ".join(format_puiseux(c) for c in cands) or "none"
-            note = "  [ambiguous: limit too small]" if flag else ""
+        for kind in ("ceiling", "floor"):
+            names = ", ".join(format_puiseux(c) for c in getattr(rep, kind)) or "none"
+            note = "  [ambiguous: limit too small]" if getattr(rep, kind + "_ambiguous") else ""
             print(f"{kind}: {names}{note}")
         return EXIT_OK
-    if cfg.action == "reject-linear":
-        reports = fit.reject_linear_family(src, cfg.c_from, cfg.c_to, cfg.witnesses)
-        for r in reports:
-            print(f"c={r.c}: ceiling {r.ceiling.status}; floor {r.floor.status}")
-        return EXIT_OK
-    raise ValueError(f"unknown fit action {cfg.action!r}")
+    for r in fit.reject_linear_family(src, ns.c_from, ns.c_to, witnesses):
+        print(f"c={r.c}: ceiling {r.ceiling.status}; floor {r.floor.status}")
+    return EXIT_OK
 
 
-def _run_repro(cfg: RunConfig) -> int:
+def _run_repro(ns: argparse.Namespace) -> int:
     from . import acceptance
 
-    results = acceptance.run_all(
-        numbers=[cfg.criterion] if cfg.criterion else None, stream=sys.stdout
-    )
+    last = len(acceptance.ALL)
+    if ns.criterion is not None and not 1 <= ns.criterion <= last:
+        raise ValueError(f"--criterion must be 1..{last}, not {ns.criterion}")
+    results = acceptance.run_all(None if ns.criterion is None else [ns.criterion], stream=sys.stdout)
     return EXIT_OK if all(r.passed for r in results) else EXIT_BAD_INPUT
 
 
 # --- argument parsing -----------------------------------------------------------
 
-
-def _add_common(p: argparse.ArgumentParser) -> None:
+def _add_domain(p: argparse.ArgumentParser) -> None:
+    """The options that _domain reads."""
     p.add_argument("--limit", type=int, default=10000)
     p.add_argument("--exclude", default="", help="comma-separated primes to exclude")
-    p.add_argument("--witnesses", type=int, default=3)
     p.add_argument("--primes-only", action="store_true")
-    p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -359,37 +327,45 @@ def build_parser() -> argparse.ArgumentParser:
     sub = ap.add_subparsers(dest="subcommand", required=True)
 
     z = sub.add_parser("zeta", help="formal-product operations")
+    z.set_defaults(run=_run_zeta)
     z.add_argument("action", choices=("soule", "tensor", "reflect", "funceq"))
     z.add_argument("expr", nargs="+")
     z.add_argument("--d", default="1", help="reflection point for reflect/funceq")
 
     mo = sub.add_parser("monoid", help="monoid-scheme counts and envelopes")
+    mo.set_defaults(run=_run_monoid)
     mo.add_argument("action", choices=("counts", "envelopes", "zeta"))
     mo.add_argument("--in", dest="input_path", required=True)
-    _add_common(mo)
 
     fa = sub.add_parser("family", help="explicit family sweeps")
+    fa.set_defaults(run=_run_family)
     fa.add_argument("family_spec", help="An:n=3 | Gn:n=5 | pell:delta=5")
     fa.add_argument("action", choices=("counts", "envelopes"))
-    _add_common(fa)
+    for p in (mo, fa):
+        _add_domain(p)
+        p.add_argument("--format", dest="fmt", choices=("plain", "csv", "json"), default="plain")
 
     cu = sub.add_parser("curve", help="elliptic-curve counts and census")
+    cu.set_defaults(run=_run_curve)
     cu.add_argument("action", choices=("count", "classify", "census"))
     cu.add_argument("--in", dest="input_path", default="")
     cu.add_argument("--label", default="")
-    cu.add_argument("--a", type=int, default=None)
-    cu.add_argument("--b", type=int, default=None)
-    cu.add_argument("--p", type=int, default=None)
+    for flag in ("--a", "--b", "--p"):
+        cu.add_argument(flag, type=int, default=None)
     cu.add_argument("--m", type=int, default=1)
     cu.add_argument("--xmax", type=int, default=1000)
     cu.add_argument("--out", dest="output_path", default="")
     cu.add_argument("--summary", dest="summary_path", default="")
-    _add_common(cu)
+    cu.add_argument("--exclude", default="", help="comma-separated primes to exclude")
 
     ft = sub.add_parser("fit", help="empirical envelope verification")
+    ft.set_defaults(run=_run_fit)
     ft.add_argument("action", choices=("verify", "search", "reject-linear"))
     ft.add_argument("--candidate", default="")
-    ft.add_argument("--source", dest="source_spec", required=True)
+    ft.add_argument(
+        "--source", dest="source_spec", required=True,
+        help="An:n=3 | Gn:n=5 | pell:delta=5 | curve:a=-1,b=0 | curve:file=PATH[,label=L] | monoid:PATH",
+    )
     ft.add_argument("--mode", choices=("ceiling", "floor"), default="ceiling")
     ft.add_argument("--puiseux", action="store_true")
     ft.add_argument("--degree", type=int, default=1)
@@ -399,48 +375,20 @@ def build_parser() -> argparse.ArgumentParser:
     )
     ft.add_argument("--c-from", dest="c_from", type=int, default=0)
     ft.add_argument("--c-to", dest="c_to", type=int, default=0)
-    _add_common(ft)
+    ft.add_argument("--witnesses", type=int, default=3)
+    _add_domain(ft)
 
     rp = sub.add_parser("repro", help="run the acceptance suite")
-    rp.add_argument("--criterion", type=int, default=None)
+    rp.set_defaults(run=_run_repro)
+    rp.add_argument("--criterion", type=int, default=None, help="run only this criterion")
     return ap
-
-
-def config_from_args(ns: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(subcommand=ns.subcommand)
-    for name in vars(ns):
-        if name == "exclude":
-            cfg.excluded = _parse_excluded(ns.exclude)
-        elif name == "box":
-            cfg.box = _parse_box(ns.box)
-        elif name == "expr":
-            cfg.expr = tuple(ns.expr)
-        elif hasattr(cfg, name):
-            setattr(cfg, name, getattr(ns, name))
-    if ns.subcommand == "fit" and ns.action == "verify":
-        cfg.expr = (ns.candidate,)
-    cfg.validate()
-    return cfg
-
-
-def run(cfg: RunConfig) -> int:
-    handlers = {
-        "zeta": _run_zeta,
-        "monoid": _run_monoid,
-        "family": _run_family,
-        "curve": _run_curve,
-        "fit": _run_fit,
-        "repro": _run_repro,
-    }
-    return handlers[cfg.subcommand](cfg)
 
 
 def main(argv: Optional[list[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        cfg = config_from_args(ns)
-        return run(cfg)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+        return ns.run(ns)
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

@@ -1,7 +1,12 @@
+import argparse
 import hashlib
+import io
 import json
+from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
+from hypothesis import event, given
+from hypothesis import strategies as st
 
 from azw import cli, monoid
 from azw.puiseux import format_puiseux, parse_puiseux
@@ -254,10 +259,29 @@ def test_fit_verify_without_candidate_exits_1(capsys):
         ),
         (("fit", "verify", "--source", "An:n=3", "--candidate", "t", "--exclude", "x"), "--exclude"),
         (("fit", "verify", "--source", "curve:a=x,b=1", "--candidate", "t"), "integer a=, not 'x'"),
+        (("fit", "verify", "--source", "monoid", "--candidate", "t"), "malformed spec 'monoid'"),
+        (("fit", "verify", "--source", "monoid:", "--candidate", "t"), "no value for file="),
+        (("repro", "--criterion", "0"), "--criterion must be 1..11, not 0"),
+        (("repro", "--criterion", "99"), "--criterion must be 1..11, not 99"),
+        (("repro", "--criterion", "-1"), "--criterion must be 1..11, not -1"),
+        (("fit", "verify", "--source", "pell:delta=5,extra=1", "--candidate", "t"), "unknown key 'extra'"),
+        (("family", "pell:delta=5,extra=1", "envelopes"), "unknown key 'extra'"),
+        (("fit", "verify", "--source", "An:n=3,n=4", "--candidate", "t"), "repeats n="),
+        (("family", "An:n=3,n=4", "counts"), "repeats n="),
+        (("fit", "verify", "--source", "curve:file=", "--candidate", "t"), "no value for file="),
+        (("fit", "verify", "--source", "curve:a=1,b=0,file=c.csv", "--candidate", "t"), "not both"),
+        (("family", "An:n=3", "envelopes", "--exclude", "4"), "excluded entry 4 is not prime"),
+        (("curve", "census", "--a", "1", "--b", "0", "--exclude", "9"), "excluded entry 9 is not prime"),
+        (("fit", "search", "--source", "An:n=3", "--witnesses", "0"), "--witnesses must be positive, not 0"),
+        (("curve", "count", "--a", "1", "--b", "0", "--p", "5", "--m", "0"), "--m must be positive, not 0"),
     ],
     ids=[
         "tensor-one-product", "soule-two-polynomials", "reflect-d-1/0", "candidate-1/0",
         "box-5:1", "box-5", "c-range-5:1", "exclude-x", "curve-a=x",
+        "source-monoid-no-colon", "source-monoid-no-path", "criterion-0", "criterion-99", "criterion--1",
+        "source-unknown-key", "family-unknown-key", "source-repeated-key", "family-repeated-key",
+        "source-curve-empty-file", "source-curve-file-and-a", "family-exclude-4", "curve-exclude-9",
+        "witnesses-0", "m-0",
     ],
 )
 def test_bad_input_exits_1_with_one_line(capsys, argv, message):
@@ -296,3 +320,127 @@ def test_puiseux_violation_text_is_pinned(capsys, mode, line):
         "--puiseux", "--limit", "50", "--mode", mode,
     )
     assert code == 2 and out == line + "\n"
+
+
+def test_monoid_bad_exclude_prints_nothing(tmp_path, capsys):
+    path = tmp_path / "p1.json"
+    monoid.save_scheme(monoid.projective_space(1), str(path))
+    code, out, err = run_cli(capsys, "monoid", "envelopes", "--in", str(path), "--exclude", "4")
+    assert code == 1 and out == ""
+    assert err == "error: excluded entry 4 is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("monoid", "counts", "--in", "p1.json", "--witnesses", "2"),
+        ("family", "An:n=3", "counts", "--witnesses", "2"),
+        ("curve", "count", "--a", "1", "--b", "0", "--p", "5", "--limit", "10"),
+        ("curve", "count", "--a", "1", "--b", "0", "--p", "5", "--witnesses", "2"),
+        ("curve", "count", "--a", "1", "--b", "0", "--p", "5", "--primes-only"),
+        ("curve", "count", "--a", "1", "--b", "0", "--p", "5", "--format", "csv"),
+        ("fit", "search", "--source", "An:n=3", "--format", "csv"),
+    ],
+    ids=["monoid-witnesses", "family-witnesses", "curve-limit", "curve-witnesses",
+         "curve-primes-only", "curve-format", "fit-format"],
+)
+def test_options_a_subcommand_never_reads_are_refused(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2 and "unrecognized arguments" in capsys.readouterr().err
+
+
+# --- argv fuzz ---------------------------------------------------------------
+
+MALFORMED = ["", "x", "1/0", "-3:3", ":", "=", "monoid", "curve:file=", "An:n=3,n=4"]
+# dest -> closed range of the integers drawn for it, kept small so each call is cheap
+INT_RANGES = {
+    "limit": (-1, 5000), "xmax": (-1, 5000), "p": (-1, 5000), "m": (-1, 4),
+    "a": (-50, 50), "b": (-50, 50), "witnesses": (-1, 4), "degree": (-1, 3),
+    "c_from": (-3, 3), "c_to": (-3, 3),
+}
+
+
+@pytest.fixture(scope="module")
+def fuzz_files(tmp_path_factory):
+    root = tmp_path_factory.mktemp("fuzz")
+    scheme, curves = root / "f13.json", root / "curves.csv"
+    monoid.save_scheme(monoid.spec_f1n(3), str(scheme))
+    curves.write_text("label,a,b\nmx,-1,0\npx,1,0\n")
+    return {"root": root, "scheme": str(scheme), "curves": str(curves)}
+
+
+def _string_pool(dest, files):
+    """Well-formed values of a string-valued argument, by its dest."""
+    scheme, curves, root = files["scheme"], files["curves"], files["root"]
+    specs = ["An:n=3", "Gn:n=5", "pell:delta=5", "pell:delta=-3", "An:n=0", "Gn:n=1", "An:n", "An:"]
+    return {
+        "expr": ["t + 2t^{1/2} + 1", "3t^2 - 6t + 3", "s / (s-1/2)", "1 / (s (s-1))", "t^(1/0)"],
+        "d": ["1", "1/2", "0", "-1"],
+        "input_path": [scheme, curves, str(root / "missing.json")],
+        "label": ["mx", "px", "nope"],
+        "output_path": [str(root / "census.csv"), str(root / "no-dir" / "c.csv"), str(root)],
+        "summary_path": [str(root / "summary.json"), str(root)],
+        "family_spec": specs,
+        "source_spec": specs + [
+            "curve:a=-1,b=0", "curve:a=0,b=0", f"curve:file={curves},label=px",
+            f"monoid:{scheme}", f"monoid:file={scheme}", "pell:delta=5,extra=1", "monoid", "curve:a=-1",
+        ],
+        "candidate": ["t", "t - 2", "t + 1", "3", "t^{1/2}", "t + 2t^{1/2} + 1", "t+"],
+        "exclude": ["2", "2,3", "5", "4", "2,x"],
+    }[dest]
+
+
+@st.composite
+def argvs(draw, files):
+    """An argv for one subcommand, its positionals in order and a random
+    subset of its options, drawn from build_parser()'s own choices."""
+    sub = next(a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    name = draw(st.sampled_from(sorted(sub.choices)))
+    argv, options = [name], []
+
+    def value(action):
+        if action.choices:
+            return draw(st.sampled_from(sorted(action.choices)))
+        if action.dest == "criterion":
+            return str(draw(st.sampled_from([-1, 0, 1, 11, 12])))
+        if draw(st.integers(0, 7)) == 0:  # one value in eight is malformed
+            bad = draw(st.sampled_from(MALFORMED))
+            # files a call writes stay inside the fixture's directory
+            return str(files["root"] / bad) if action.dest in ("output_path", "summary_path") else bad
+        if action.dest == "box":
+            return f"{draw(st.integers(-3, 3))}:{draw(st.integers(-3, 3))}"
+        if action.dest in INT_RANGES:
+            return str(draw(st.integers(*INT_RANGES[action.dest])))
+        return draw(st.sampled_from(_string_pool(action.dest, files)))
+
+    for action in sub.choices[name]._actions:
+        if not action.option_strings:
+            count = draw(st.integers(1, 2)) if action.nargs == "+" else 1
+            argv += [value(action) for _ in range(count)]
+        elif action.nargs == 0:  # flags; --help only one time in ten, since it ends the call
+            if draw(st.integers(0, 9 if action.dest == "help" else 1)) == 0:
+                options.append([action.option_strings[-1]])
+        elif action.dest == "criterion" or action.required or draw(st.booleans()):
+            flag, text = action.option_strings[-1], value(action)
+            options.append([f"{flag}={text}"] if draw(st.booleans()) else [flag, text])
+    for opt in draw(st.permutations(options)):
+        argv += opt
+    return argv
+
+
+@given(data=st.data())
+def test_argv_fuzz_exits_cleanly(fuzz_files, data):
+    argv = data.draw(argvs(fuzz_files))
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert code in (0, 1, 2, 3), (argv, code)
+    if code == 1:
+        assert out.getvalue() == "", argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, lines)
