@@ -354,10 +354,7 @@ def criterion_09() -> CriterionResult:
     failures = []
     curve = elliptic.FIXTURE_CURVES[0]
     dom = PrimePowerDomain(curve.bad_primes, "primes_only", 10**5)
-    src = fit.SequenceSource(
-        f"#E(F_p), E: {curve.label}", dom, lambda pt: elliptic.count_fp(curve, pt.p)
-    )
-    reports = fit.reject_linear_family(src, -20, 20, 3)
+    reports = fit.reject_linear_family(elliptic.count_source(curve, dom), -20, 20, 3)
     by_c = {r.c: r for r in reports}
     for c in range(0, 21):
         if by_c[c].ceiling.status != fit.BOUND_VIOLATED:

@@ -170,10 +170,6 @@ def _source(spec: str, dom: PrimePowerDomain) -> fit.SequenceSource:
         a, b = _int_arg(spec, kv, "a"), _int_arg(spec, kv, "b")
         curve = elliptic.EllipticCurve(a, b, kv.get("label", ""))
     dom = dataclasses.replace(dom, excluded=dom.excluded | curve.bad_primes)
-    if dom.kind == "primes_only":
-        return fit.SequenceSource(
-            f"#E(F_p), E: {curve.label}", dom, lambda pt: elliptic.count_fp(curve, pt.p)
-        )
     return elliptic.count_source(curve, dom)
 
 

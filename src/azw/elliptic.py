@@ -11,11 +11,16 @@ chosen by the curve and by p:
         #E(F_p) = p + 1 + sum_x chi(x^3 + ax + b),
     O(p) work on a numpy residue table;
   - otherwise, p > BSGS_MIN_P: a baby-step giant-step search for the group
-    order in the Hasse interval, O(p^(1/4)) integer operations, accepted
+    order in the Hasse interval, O(p^(1/4)) group operations, accepted
     only when the order is certified unique (Mestre); otherwise the
     character sum.
-The character sum and the baby-step giant-step search stay the references
-that the tests compare the closed form against.
+The baby-step giant-step search is one numpy kernel over a batch of primes,
+one lane per prime and point, in Jacobian coordinates (int64 while p < 2^31,
+Python ints above).  Its cost per call is mostly fixed, so callers that need many
+traces ask for them at once: `census` and `count_source` fill the traces of
+all their primes in one batch, and `EllipticCurve.trace` is a batch of one.
+The character sum stays the reference that the tests compare the other two
+paths against.
 Counts over F_{p^m} follow from the trace recursion
     a_1 = a_p,  a_k = a_p*a_{k-1} - p*a_{k-2},  #E(F_{p^m}) = p^m + 1 - a_m.
 """
@@ -85,24 +90,31 @@ class EllipticCurve:
     def trace(self, p: int) -> int:
         """Frobenius trace a_p = p + 1 - #E(F_p), cached per prime.  A cached
         p was checked good when it was computed, so only a miss is checked."""
-        t = self._traces.get(p)
-        if t is None:
+        if p not in self._traces:
             self.check_good(p)
-            t = self._traces[p] = _trace(self.a, self.b, p)
-        return t
+            self._fill([p])
+        return self._traces[p]
+
+    def _fill(self, primes: Iterable[int]) -> None:
+        """Cache a_p for every given prime not cached yet, in one batch.  The
+        caller vouches that each prime is good: no primality test runs here."""
+        todo = [p for p in primes if p not in self._traces]
+        self._traces.update(zip(todo, _traces(self.a, self.b, todo)))
 
 
-def _trace(a: int, b: int, p: int) -> int:
-    """a_p at a prime p that the caller has checked to be good."""
+def _traces(a: int, b: int, primes: list[int]) -> list[int]:
+    """a_p at each of the primes, which the caller has checked to be good."""
     if a * b == 0:
-        t = _trace_cm(a, b, p)
+        ts = [_trace_cm(a, b, p) for p in primes]
     else:
-        t = _trace_bsgs(a, b, p) if p > BSGS_MIN_P else None
-        if t is None:
-            t = _trace_char_sum(a, b, p)
-    if t * t > 4 * p:  # Hasse bound; a violation means a counting bug
-        raise RuntimeError(f"trace {t} violates the Hasse bound at p={p}")
-    return t
+        big = [p for p in primes if p > BSGS_MIN_P]
+        found = dict(zip(big, _trace_bsgs(a, b, big))) if big else {}
+        ts = [found.get(p) for p in primes]
+        ts = [_trace_char_sum(a, b, p) if t is None else t for p, t in zip(primes, ts)]
+    for p, t in zip(primes, ts):
+        if t * t > 4 * p:  # Hasse bound; a violation means a counting bug
+            raise RuntimeError(f"trace {t} violates the Hasse bound at p={p}")
+    return ts
 
 
 def _trace_char_sum(a: int, b: int, p: int) -> int:
@@ -184,15 +196,20 @@ def _cornacchia(p: int, d: int, r: int) -> tuple[int, int]:
     return x, y
 
 
-# Crossover: above this prime the baby-step giant-step trace costs less than
-# the character sum (both timed per prime; see CHANGES.md).  It must stay
-# above 229, below which Mestre's uniqueness can fail.
-BSGS_MIN_P = 3000
+# Crossover: above this prime a batched baby-step giant-step trace costs less
+# than the character sum (timed on whole batches, every good prime to 5000
+# and to 25000; see CHANGES.md).  It must stay above 229, below which
+# Mestre's uniqueness can fail.
+BSGS_MIN_P = 500
 BSGS_POINTS = 32  # x = 0..31 are tried before falling back to the character sum
+# Lanes (one prime and one point each) per pass of the kernel: bounds its
+# (steps x lanes) arrays, so peak memory does not grow with the batch.
+BSGS_BLOCK_LANES = 512
 
 
-def _trace_bsgs(a: int, b: int, p: int) -> Optional[int]:
-    """a_p by a certified baby-step giant-step order search, or None.
+def _trace_bsgs(a: int, b: int, primes: list[int]) -> list[Optional[int]]:
+    """a_p at each prime by a certified baby-step giant-step order search,
+    or None where no tried point certifies it.
 
     For x = 0, 1, 2, ... with f = x^3 + ax + b nonzero mod p, the point
     (f x, f^2) lies on E_f: y^2 = x^3 + a f^2 x + b f^3, the quadratic twist
@@ -200,88 +217,192 @@ def _trace_bsgs(a: int, b: int, p: int) -> Optional[int]:
     the nontrivial twist otherwise, hence a_p(E_f) = chi(f) a_p.  The true
     trace of E_f is always among the t with (p + 1 - t)P = O, so a t that is
     the only such one in the Hasse interval is certified.  For p > 229 some
-    point of E or of its twist has a unique t (Mestre); if none of the tried
-    points has, return None.
+    point of E or of its twist has a unique t (Mestre).
+
+    One lane per prime and point: up to BSGS_BLOCK_LANES lanes go through
+    the kernel at a time.  A prime that no lane certifies goes back to the
+    queue with its next x, until BSGS_POINTS values of x are used up.  When
+    the block has room for more lanes than there are primes (a short batch,
+    or the primes left to retry), each prime below 2^31 tries that many
+    next values of x at once, since on int64 a pass costs about the same
+    for a few lanes as for a full block.
     """
-    bound = math.isqrt(4 * p)
-    for x in range(BSGS_POINTS):
-        f = (x * x * x + a * x + b) % p
-        if f == 0:
-            continue
-        ff = f * f % p
-        t = _unique_trace(a * ff % p, (f * x % p, ff), p, bound)
-        if t is not None:
-            return t if pow(f, (p - 1) // 2, p) == 1 else -t
-    return None
-
-
-def _unique_trace(a: int, pt: tuple[int, int], p: int, bound: int) -> Optional[int]:
-    """The t in [-bound, bound] with (p + 1 - t)pt = O, if exactly one.
-
-    pt lies on y^2 = x^3 + ax + b (b is not needed).  Every t is i*s + j for
-    one i and one |j| <= m, s = 2m + 1; then (p + 1 - i*s)pt = j*pt, found by
-    the x-coordinate of |j|*pt among the baby steps and its sign by y.
-    Returns None when two t qualify, or when the baby steps show an order
-    <= 2m + 1, which no unique t can come from.
-    """
-    m = math.isqrt(bound) + 1
-    baby: dict[int, tuple[int, int]] = {}  # x(j pt) -> (j, y(j pt)), j = 1..m
-    q = pt
-    for j in range(1, m + 1):
-        if q is None or q[1] == 0 or q[0] in baby:
-            return None
-        baby[q[0]] = (j, q[1])
-        last, q = q, _add(q, pt, a, p)
-    step = _add(q, last, a, p)  # (2m + 1)pt
-    if step is None:
-        return None
-    s = 2 * m + 1
-    top = (bound + m) // s
-    back = (step[0], p - step[1])
-    g = _mul(p + 1 + top * s, pt, a, p)  # (p + 1 - i*s)pt at i = -top
-    found = None
-    for i in range(-top, top + 1):
-        if g is None:
-            t = i * s
-        elif g[0] in baby:
-            j, y = baby[g[0]]
-            t = i * s + (j if y == g[1] else -j)
-        else:
-            t = None
-        if t is not None and -bound <= t <= bound:
-            if found is not None:
-                return None
-            found = t
-        g = _add(g, back, a, p)
-    return found
-
-
-def _add(u, v, a: int, p: int):
-    """u + v on y^2 = x^3 + ax + b over F_p, affine; None is the origin."""
-    if u is None:
-        return v
-    if v is None:
-        return u
-    x1, y1 = u
-    x2, y2 = v
-    if x1 == x2:
-        if (y1 + y2) % p == 0:
-            return None
-        lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
-    else:
-        lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
-    x3 = (lam * lam - x1 - x2) % p
-    return x3, (lam * (x1 - x3) - y1) % p
-
-
-def _mul(k: int, u, a: int, p: int):
-    """k u for k >= 1, by left-to-right double-and-add."""
-    out = u
-    for bit in bin(k)[3:]:
-        out = _add(out, out, a, p)
-        if bit == "1":
-            out = _add(out, u, a, p)
+    out: list[Optional[int]] = [None] * len(primes)
+    p_all = np.array(primes, dtype=object)
+    x_all = np.zeros(len(primes), dtype=np.int64)  # the next x of each prime
+    queue = np.arange(len(primes))
+    while len(queue):
+        todo, queue = queue[:BSGS_BLOCK_LANES], queue[BSGS_BLOCK_LANES:]
+        small = max(p_all[todo]) < 2**31  # int64 products stay < 2^62
+        dtype = np.int64 if small else object
+        # on Python ints a lane costs its own time, so there one x at a time
+        room = BSGS_BLOCK_LANES // len(todo) if small else 1
+        tries = np.minimum(room, BSGS_POINTS - x_all[todo])
+        owner = np.repeat(todo, tries)  # lane -> prime
+        x = x_all[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(tries) - tries, tries)
+        x_all[todo] += tries
+        p = p_all[owner]
+        am, bm = (np.array([c % q for q in p], dtype) for c in (a, b))
+        p, x = p.astype(dtype), x.astype(dtype)
+        f = (x * x % p * x + am * x + bm) % p
+        live = np.flatnonzero(f != 0)
+        if len(live):
+            p, f, x, am = p[live], f[live], x[live], am[live]
+            ff = f * f % p
+            t, ok = _unique_traces(am * ff % p, f * x % p, ff, p)
+            chi = _pow(f[ok], (p[ok] - 1) // 2, p[ok])
+            for i, ti, square in zip(owner[live[ok]], t[ok], chi == 1):
+                out[i] = int(ti) if square else -int(ti)
+        pending = np.array([i for i in todo if out[i] is None], dtype=np.int64)
+        queue = np.concatenate([queue, pending[x_all[pending] < BSGS_POINTS]])
     return out
+
+
+def _unique_traces(A, X, Y, p):
+    """Per lane, the t in [-bound, bound], bound = floor(2 sqrt p), with
+    (p + 1 - t)P = O, and whether it is the only one.
+
+    P = (X, Y) lies on y^2 = x^3 + Ax + B over F_p (B is not needed); all
+    four are arrays with one entry per lane.  One m = isqrt(max bound) + 1
+    serves every lane.  Every t is i*s + j for one i and one |j| <= m,
+    s = 2m + 1; then (p + 1 - i*s)P = jP, found by the x-coordinate of |j|P
+    among the baby steps and its sign by y.  A lane is certified only when
+    its baby steps P, ..., mP are distinct, none is O and none has y = 0
+    (so every giant step matches at most one j), and exactly one t in its
+    own Hasse interval qualifies.  Points are kept in Jacobian coordinates
+    and normalized once, baby and giant steps together, by Montgomery's
+    trick down each lane: one Fermat inverse per lane.
+    """
+    lanes = len(p)
+    bound = np.array([math.isqrt(4 * int(q)) for q in p])
+    m = math.isqrt(int(bound.max())) + 1
+    s = 2 * m + 1
+    top = (int(bound.max()) + m) // s
+    giants = 2 * top + 1
+    pt = (X, Y, np.ones_like(X))
+    xyz = np.empty((3, m + giants, lanes), dtype=p.dtype)
+    q = pt
+    for j in range(m):  # row j: (j + 1)P
+        xyz[0, j], xyz[1, j], xyz[2, j] = q
+        q = _jadd(q, pt, A, p)
+    step = _jadd(q, tuple(xyz[:, m - 1]), A, p)  # (m + 1)P + mP = sP
+    back = (step[0], -step[1] % p, step[2])
+    g = _jmul(p + 1 + top * s, xyz[:, :m], A, p)  # (p + 1 - i*s)P at i = -top
+    for i in range(giants):  # row m + i: the giant step at i - top
+        xyz[0, m + i], xyz[1, m + i], xyz[2, m + i] = g
+        g = _jadd(g, back, A, p)
+    x, y, z = xyz  # normalized in place: x = X/Z^2, y = Y/Z^3
+    zero = z == 0
+    z[zero] = 1
+    _invert_rows(z, p)
+    zz = z * z % p
+    x *= zz
+    x %= p
+    zz *= z
+    zz %= p
+    y *= zz
+    y %= p
+    del zz
+
+    # baby x keyed by lane: a sorted table, searched by every giant x
+    lane = np.arange(lanes)
+    width = int(p.max())
+    table = (x[:m] + lane * width).ravel()
+    order = np.argsort(table, kind="stable")  # less peak memory than the default here
+    table = table[order]
+    valid = ~(zero[:m].any(axis=0) | (y[:m] == 0).any(axis=0))
+    valid[order[1:][table[1:] == table[:-1]] % lanes] = False
+    gkeys = (x[m:] + lane * width).ravel()
+    at = np.searchsorted(table, gkeys)
+    at[at == len(table)] = 0
+    gzero = zero[m:].ravel()
+    hit = (table[at] == gkeys) & ~gzero
+    cand = np.flatnonzero(hit | gzero)  # giant steps with a t, few per lane
+    row = order[at[cand]]
+    sign = np.where(y[:m].ravel()[row] == y[m:].ravel()[cand], 1, -1)
+    glane = cand % lanes
+    t = (cand // lanes - top) * s + np.where(hit[cand], sign * (row // lanes + 1), 0)
+    keep = np.abs(t) <= bound[glane]
+    count = np.bincount(glane[keep], minlength=lanes)
+    trace = np.zeros(lanes, dtype=np.int64)
+    trace[glane[keep]] = t[keep]
+    return trace, valid & (count == 1)
+
+
+def _jdouble(pt, A, p):
+    """2 pt in Jacobian coordinates (x = X/Z^2, y = Y/Z^3; Z = 0 is O).
+    Doubling O or a point with y = 0 gives Z = 0 by itself."""
+    X, Y, Z = pt
+    xx, yy = X * X % p, Y * Y % p
+    zz = Z * Z % p
+    s = 4 * X % p * yy % p
+    m = (3 * xx + A * (zz * zz % p)) % p
+    x3 = (m * m - 2 * s) % p
+    y3 = (m * (s - x3) - 8 * (yy * yy % p)) % p
+    return x3, y3, 2 * Y % p * Z % p
+
+
+def _jadd(u, v, A, p):
+    """u + v in Jacobian coordinates, lane by lane.  u = -v gives Z = 0 by
+    itself; the lanes where u = O, v = O or u = v are patched afterwards."""
+    X1, Y1, Z1 = u
+    X2, Y2, Z2 = v
+    z1z1, z2z2 = Z1 * Z1 % p, Z2 * Z2 % p
+    u1, u2 = X1 * z2z2 % p, X2 * z1z1 % p
+    s1 = Y1 * (Z2 * z2z2 % p) % p
+    s2 = Y2 * (Z1 * z1z1 % p) % p
+    h, r = u2 - u1, s2 - s1  # in (-p, p): every product below stays < p^2
+    hh = h * h % p
+    hhh, w = h * hh % p, u1 * hh % p
+    x3 = (r * r - hhh - 2 * w) % p
+    out = (x3, (r * (w - x3) - s1 * hhh) % p, Z1 * Z2 % p * h % p)
+    k = np.flatnonzero((Z1 == 0) | (Z2 == 0) | (h == 0))
+    if len(k):
+        uk, vk = tuple(c[k] for c in u), tuple(c[k] for c in v)
+        same = (h[k] == 0) & (r[k] == 0)
+        for c, c1, c2, d in zip(out, uk, vk, _jdouble(uk, A[k], p[k])):
+            c[k] = np.where(uk[2] == 0, c2, np.where(vk[2] == 0, c1, np.where(same, d, c[k])))
+    return out
+
+
+def _jmul(k, table, A, p):
+    """k P lane by lane (k >= 1), by windows of w bits: w doublings, then one
+    addition of dP = table[:, d - 1], where table holds P, 2P, ..., mP and
+    2^w - 1 <= m."""
+    w = (table.shape[1] + 1).bit_length() - 1
+    lane = np.arange(len(p))
+    out = (np.ones_like(p), np.ones_like(p), np.zeros_like(p))  # O
+    top = (max(int(e) for e in k).bit_length() - 1) // w * w
+    for shift in range(top, -1, -w):
+        for _ in range(w if shift < top else 0):
+            out = _jdouble(out, A, p)
+        d = ((k >> shift) & ((1 << w) - 1)).astype(np.int64)
+        plus = _jadd(out, tuple(table[:, np.maximum(d - 1, 0), lane]), A, p)
+        out = tuple(np.where(d > 0, c1, c) for c, c1 in zip(out, plus))
+    return out
+
+
+def _pow(base, e, p):
+    """base^e mod p lane by lane, by left-to-right square-and-multiply."""
+    out = np.ones_like(base)
+    for bit in range(max((int(v) for v in e), default=0).bit_length() - 1, -1, -1):
+        out = out * out % p
+        out = np.where((e >> bit) & 1 == 1, out * base % p, out)
+    return out
+
+
+def _invert_rows(z, p) -> None:
+    """Replace each entry of a (rows, lanes) array with no zero entry by its
+    inverse mod p: Montgomery's trick down each lane, one Fermat inverse per
+    lane."""
+    prefix = np.empty_like(z)
+    prefix[0] = z[0]
+    for r in range(1, len(z)):
+        prefix[r] = prefix[r - 1] * z[r] % p
+    inv = _pow(prefix[-1], p - 2, p)
+    for r in range(len(z) - 1, 0, -1):
+        inv, z[r] = inv * z[r] % p, inv * prefix[r - 1] % p
+    z[0] = inv
 
 
 def count_fp(curve: EllipticCurve, p: int) -> int:
@@ -398,13 +519,10 @@ def census(
     s = frozenset(excluded) if excluded is not None else curve.bad_primes
     if not curve.bad_primes <= s:
         raise ValueError("excluded set must contain the curve's bad primes")
-    # the sieve's primes outside s are good, so each fills the cache unchecked
-    traces = curve._traces
+    # the sieve's primes outside s are good, so they fill the cache unchecked
     primes = [p for p in sieve(x_max) if p not in s]
-    for p in primes:
-        if p not in traces:
-            traces[p] = _trace(curve.a, curve.b, p)
-    rows = [(p, traces[p], classify_prime(curve, p)) for p in primes]
+    curve._fill(primes)
+    rows = [(p, curve.trace(p), classify_prime(curve, p)) for p in primes]
 
     champ = tuple(p for p, _, c in rows if c == CHAMPION)
     trail = tuple(p for p, _, c in rows if c == TRAILING)
@@ -492,16 +610,20 @@ def hasse_weil_bounds(q: int, genus: int) -> HasseWeilBounds:
 def count_source(
     curve: EllipticCurve, domain: PrimePowerDomain
 ) -> fit.SequenceSource:
-    """(#E(F_q))_q; the domain's excluded set must cover the bad primes."""
+    """(#E(F_q))_q; the domain's excluded set must cover the bad primes.  The
+    first count fills the traces of every prime of the domain in one batch."""
     if domain.kind == "naturals_from_2":
         raise ValueError("curve counts live on prime-based domains")
     if not curve.bad_primes <= domain.excluded:
         raise ValueError("domain must exclude the curve's bad primes")
-    return fit.SequenceSource(
-        label=f"#E(F_q), E: {curve.label}",
-        domain=domain,
-        fn=lambda pt: count_extension(curve, pt.p, pt.m),
-    )
+
+    def count(pt):
+        if pt.p not in curve._traces:
+            curve._fill(p for p in sieve(domain.limit) if p not in domain.excluded)
+        return count_extension(curve, pt.p, pt.m)
+
+    field = "p" if domain.kind == "primes_only" else "q"
+    return fit.SequenceSource(f"#E(F_{field}), E: {curve.label}", domain, count)
 
 
 FIXTURE_CURVES = (

@@ -59,6 +59,8 @@ def count_an_oracle(n: int, p: int, m: int) -> int:
 
 def envelopes_an(n: int, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly]:
     """(t - n1, t - n) with n1 = min(n, smallest non-excluded prime)."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     s = frozenset(excluded)
     n1 = min(n, _smallest_prime_not_in(s))
     return PuiseuxPoly.linear(-n1), PuiseuxPoly.linear(-n)

@@ -76,6 +76,13 @@ def test_family_counts_csv(capsys):
     assert rows[4] == "5,1,5,2"
 
 
+@pytest.mark.parametrize("action", ["counts", "envelopes"])
+def test_family_an_rejects_n_below_1(capsys, action):
+    code, out, err = run_cli(capsys, "family", "An:n=-5", action)
+    assert code == 1 and out == ""
+    assert err == "error: n must be >= 1\n"
+
+
 def test_family_envelopes(capsys):
     code, out, _ = run_cli(capsys, "family", "pell:delta=5", "envelopes")
     assert code == 0

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
@@ -107,10 +108,9 @@ def test_is_supersingular_examples():
 
 def test_hasse_bound_sweep():
     for curve in elliptic.FIXTURE_CURVES:
-        for p in sieve(10**4):
-            if p in curve.bad_primes:
-                continue
-            ap = curve.trace(p)
+        rows = elliptic.census(curve, 10**4).rows  # one batch of traces per curve
+        assert [p for p, _, _ in rows] == [p for p in sieve(10**4) if p not in curve.bad_primes]
+        for p, ap, _ in rows:
             assert ap * ap <= 4 * p
 
 
@@ -172,11 +172,8 @@ def test_classify_examples():
 
 def test_classify_trichotomy():
     for curve in elliptic.FIXTURE_CURVES:
-        for p in sieve(3000):
-            if p in curve.bad_primes:
-                continue
-            cls = elliptic.classify_prime(curve, p)
-            ap = curve.trace(p)
+        for p, ap, cls in elliptic.census(curve, 3000).rows:
+            assert (ap, cls) == (curve.trace(p), elliptic.classify_prime(curve, p))
             bound = isqrt(4 * p)
             assert bound > 0
             matches = [
@@ -265,32 +262,101 @@ def test_count_source_validation():
     assert values[5] == 8 and values[49] == 64
 
 
+def ec_mul(k, pt, a, p):
+    """k pt on y^2 = x^3 + ax + b over F_p (b is not needed), by affine
+    double-and-add in Python integers, apart from the kernel; None is O."""
+
+    def add(u, v):
+        if u is None:
+            return v
+        if v is None:
+            return u
+        (x1, y1), (x2, y2) = u, v
+        if x1 == x2:
+            if (y1 + y2) % p == 0:
+                return None
+            lam = (3 * x1 * x1 + a) * pow(2 * y1, -1, p) % p
+        else:
+            lam = (y2 - y1) * pow(x2 - x1, -1, p) % p
+        x3 = (lam * lam - x1 - x2) % p
+        return x3, (lam * (x1 - x3) - y1) % p
+
+    out = None
+    for bit in bin(k)[2:]:
+        out = add(out, out)
+        if bit == "1":
+            out = add(out, pt)
+    return out
+
+
 def test_bsgs_trace_equals_char_sum_from_the_crossover_to_20000():
-    for curve in elliptic.FIXTURE_CURVES:
-        for p in sieve(20000):
-            if p <= elliptic.BSGS_MIN_P or p in curve.bad_primes:
-                continue
-            assert elliptic._trace_bsgs(curve.a, curve.b, p) == elliptic._trace_char_sum(curve.a, curve.b, p), p
+    # every good p above 229 (Mestre's bound), so below and above BSGS_MIN_P,
+    # in one kernel call per curve; the fixtures and the isogenous pairs,
+    # CM curves included, since the kernel does not need CM
+    curves = {(c.a, c.b) for c in elliptic.FIXTURE_CURVES}
+    curves |= {ab for pair in ISOGENOUS_PAIRS.values() for ab in pair}
+    for a, b in sorted(curves):
+        bad = EllipticCurve(a, b).bad_primes
+        primes = [p for p in sieve(20000) if p > 229 and p not in bad]
+        expected = [elliptic._trace_char_sum(a, b, p) for p in primes]
+        assert elliptic._trace_bsgs(a, b, primes) == expected, (a, b)
 
 
 def test_bsgs_trace_equals_char_sum_near_a_million():
     primes = [p for p in range(10**6, 10**6 + 200) if is_prime(p)][:10]
     assert len(primes) == 10
     for curve in elliptic.FIXTURE_CURVES:
-        for p in primes:
-            assert elliptic._trace_bsgs(curve.a, curve.b, p) == elliptic._trace_char_sum(curve.a, curve.b, p), p
+        a, b = curve.a, curve.b
+        assert elliptic._trace_bsgs(a, b, primes) == [elliptic._trace_char_sum(a, b, p) for p in primes]
 
 
 @given(
     st.integers(-50, 50),
     st.integers(-50, 50),
-    st.integers(elliptic.BSGS_MIN_P + 1, 2 * 10**5),
+    st.lists(st.integers(230, 10**5), min_size=1, max_size=8),
 )
-def test_bsgs_trace_equals_char_sum_on_random_curves(a, b, n):
+def test_bsgs_trace_equals_char_sum_on_random_curves(a, b, starts):
+    # one batch of mixed primes, small and large, repeats allowed
     assume(4 * a**3 + 27 * b**2 != 0)
-    p = next(q for q in range(n, 2 * n) if is_prime(q))
-    assume(p <= 2 * 10**5 and p not in EllipticCurve(a, b).bad_primes)
-    assert elliptic._trace_bsgs(a, b, p) == elliptic._trace_char_sum(a, b, p)
+    bad = EllipticCurve(a, b).bad_primes
+    primes = [next(q for q in range(n, 2 * n) if is_prime(q)) for n in starts]
+    primes = [p for p in primes if p not in bad]
+    assert elliptic._trace_bsgs(a, b, primes) == [elliptic._trace_char_sum(a, b, p) for p in primes]
+
+
+def test_bsgs_lane_blocks_do_not_change_the_census(monkeypatch):
+    rows = elliptic.census(EllipticCurve(-15, 22), 20000).rows
+    monkeypatch.setattr(elliptic, "BSGS_BLOCK_LANES", 7)
+    assert elliptic.census(EllipticCurve(-15, 22), 20000).rows == rows
+
+
+# the first primes above 2^31 with p = 3 mod 4, where -1 is a non-square
+# and y = f^((p+1)/4) is a square root of any square f
+PRIMES_ABOVE_2_31 = (2147483659, 2147483743, 2147483783, 2147483867)
+
+
+def test_bsgs_python_int_lanes_above_2_31():
+    a, b = -1, 1
+    assert all(is_prime(p) and p % 4 == 3 for p in PRIMES_ABOVE_2_31)
+    traces = elliptic._trace_bsgs(a, b, list(PRIMES_ABOVE_2_31))
+    for p, t in zip(PRIMES_ABOVE_2_31, traces):
+        assert t is not None and t * t <= 4 * p
+        # E and its twist y^2 = x^3 + ax - b by -1, of trace -t: their first
+        # five points with x >= 0 each have order dividing p + 1 -+ t
+        for sign, twist_b in ((1, b), (-1, -b)):
+            points = []
+            for x in range(100):
+                f = (x**3 + a * x + twist_b) % p
+                y = pow(f, (p + 1) // 4, p)
+                if f and y * y % p == f:
+                    points.append((x, y))
+            assert len(points) >= 5
+            for pt in points[:5]:
+                assert ec_mul(p + 1 - sign * t, pt, a, p) is None
+    # small primes in the same block run on Python ints too: still exact
+    small = [p for p in sieve(5000) if p > 229 and p != 23][:40]
+    mixed = elliptic._trace_bsgs(a, b, small + list(PRIMES_ABOVE_2_31))
+    assert mixed == [elliptic._trace_char_sum(a, b, p) for p in small] + traces
 
 
 def test_bsgs_only_the_twist_decides(monkeypatch):
@@ -305,15 +371,16 @@ def test_bsgs_only_the_twist_decides(monkeypatch):
         f = (x**3 + a * x + b) % p
         assert pow(f, (p - 1) // 2, p) == 1
         ff, pt = f * f % p, (f * x % p, f * f % p)
-        ts = [t for t in range(-bound, bound + 1) if elliptic._mul(p + 1 - t, pt, a * ff % p, p) is None]
+        ts = [t for t in range(-bound, bound + 1) if ec_mul(p + 1 - t, pt, a * ff % p, p) is None]
         assert len(ts) >= 2 and -70 in ts
-        assert elliptic._unique_trace(a * ff % p, pt, p, bound) is None
-    assert elliptic._trace_bsgs(a, b, p) == -70
-    # with x = 0..11 only, every tried point is ambiguous: no value, and the
-    # trace comes from the character sum
+        lane = [np.array([v]) for v in (a * ff % p, *pt, p)]
+        _, certified = elliptic._unique_traces(*lane)
+        assert not certified[0]
+    assert elliptic._trace_bsgs(a, b, [p]) == [-70]
+    # with x = 0..11 only, every tried point is ambiguous: the lane stays
+    # uncertified, and the trace is the character sum's
     monkeypatch.setattr(elliptic, "BSGS_POINTS", 12)
-    assert elliptic._trace_bsgs(a, b, p) is None
-    assert EllipticCurve(a, b).trace(p) == -70
+    assert elliptic._trace_bsgs(a, b, [p, 3533]) == [None, elliptic._trace_char_sum(a, b, 3533)]
 
 
 # b = 0 with these a, and a = 0 with these b, give every quartic and every
@@ -365,8 +432,7 @@ def test_cm_trace_equals_bsgs_near_a_million():
     primes = [p for p in range(10**6, 10**6 + 400) if is_prime(p)][:20]
     assert len(primes) == 20
     for a, b in CM_CURVES:
-        for p in primes:
-            assert elliptic._trace_cm(a, b, p) == elliptic._trace_bsgs(a, b, p), (a, b, p)
+        assert [elliptic._trace_cm(a, b, p) for p in primes] == elliptic._trace_bsgs(a, b, primes), (a, b)
 
 
 @given(st.booleans(), st.integers(-10**6, 10**6), st.integers(5, 2 * 10**5))
@@ -382,22 +448,40 @@ def test_trace_dispatch(monkeypatch):
     calls = []
     for name in ("_trace_cm", "_trace_bsgs", "_trace_char_sum"):
         original = getattr(elliptic, name)
-        monkeypatch.setattr(elliptic, name, lambda *args, f=original, n=name: calls.append(n) or f(*args))
-    for (a, b), p, path in (
-        ((0, 7), 11, "_trace_cm"),
-        ((3, 0), 10007, "_trace_cm"),
-        ((-1, 1), 101, "_trace_char_sum"),
-        ((-1, 1), 10007, "_trace_bsgs"),
+        monkeypatch.setattr(
+            elliptic, name, lambda a, b, p, f=original, n=name: calls.append((n, p)) or f(a, b, p)
+        )
+    below = sieve(elliptic.BSGS_MIN_P)[-1]  # the primes on either side of the crossover
+    above = next(p for p in range(elliptic.BSGS_MIN_P + 1, 2 * elliptic.BSGS_MIN_P) if is_prime(p))
+    for (a, b), primes, paths in (
+        ((0, 7), [11, 10007], [("_trace_cm", 11), ("_trace_cm", 10007)]),
+        ((3, 0), [10007], [("_trace_cm", 10007)]),
+        ((-1, 1), [101, below], [("_trace_char_sum", 101), ("_trace_char_sum", below)]),
+        # every prime above the crossover in one batch, the rest one by one
+        (
+            (-1, 1),
+            [101, above, 10007, 10009],
+            [("_trace_bsgs", [above, 10007, 10009]), ("_trace_char_sum", 101)],
+        ),
     ):
         calls.clear()
-        EllipticCurve(a, b).trace(p)
-        assert calls == [path], (a, b, p)
+        EllipticCurve(a, b)._fill(primes)
+        assert calls == paths, (a, b)
+    # a lane that no tried point certifies falls back to the character sum
+    monkeypatch.setattr(
+        elliptic, "_trace_bsgs", lambda a, b, ps: calls.append(("_trace_bsgs", ps)) or [None] * len(ps)
+    )
+    expected = elliptic._trace_char_sum(-1, 1, 10007)
+    calls.clear()
+    assert EllipticCurve(-1, 1).trace(10007) == expected
+    assert calls == [("_trace_bsgs", [10007]), ("_trace_char_sum", 10007)]
 
 
 # (a, b) of a curve and of a 2-isogenous curve: isogenous curves have the
 # same a_p at every prime good for both, so each curve checks the other.
 # x^3 + 1 takes the closed form and x^3 - 15x + 22 the character sum and,
-# above the crossover, BSGS, so that pair checks one path against the other
+# above the crossover, the batched BSGS, so that pair checks one path
+# against the other
 ISOGENOUS_PAIRS = {
     "x^3-x~x^3+4x": ((-1, 0), (4, 0)),
     "x^3+x~x^3-4x": ((1, 0), (-4, 0)),
@@ -409,9 +493,7 @@ ISOGENOUS_PAIRS = {
 def test_isogenous_curves_agree(pair):
     e1, e2 = (EllipticCurve(a, b) for a, b in pair)
     bad = e1.bad_primes | e2.bad_primes
-    for p in sieve(20000):
-        if p not in bad:
-            assert e1.trace(p) == e2.trace(p), p
+    # each census asks for the traces of all its primes in one batch
     assert elliptic.census(e1, 20000, bad).rows == elliptic.census(e2, 20000, bad).rows
     dom = PrimePowerDomain(bad, "prime_powers", 20000)
     for check, f in ((fit.verify_ceiling, CEILING_E), (fit.verify_floor, FLOOR_E)):
