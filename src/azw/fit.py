@@ -6,17 +6,16 @@ at least witness_threshold points.  Every verdict records the scanned limit,
 the threshold and the excluded primes, so a 'verified' is always a statement
 about a declared finite scan, never a proof.
 
-All comparisons between an integer count and a possibly irrational candidate
-value go through the certified floor/ceil of the puiseux module: for an
-integer A, A <= f(n) iff A <= floor(f(n)), and f(n) <= A iff ceil(f(n)) <= A.
+An ordinary candidate f = (c + rest)/L (integer exponents; c, L integers) is
+decided exactly from the offsets D_q = L*A_q - rest(q) by _decide.  Only
+fractional exponents are scanned point by point, through the certified
+floor/ceil of the puiseux module: an integer A <= f(n) iff A <= floor(f(n)).
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from collections import defaultdict
 from dataclasses import dataclass, field, replace
-from itertools import accumulate
+from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
@@ -33,6 +32,9 @@ NON_INTEGRAL_AT_ONE = "non_integral_at_one"
 # of coefficient tuples: about 2 MB of int64 whatever the box, unless a single
 # tuple's row (one offset per domain point) is longer.
 SEARCH_BLOCK_ENTRIES = 1 << 18
+
+# Most candidates one search_polynomial box or reject_linear_family range holds.
+MAX_CANDIDATES = 10**6
 
 
 @dataclass
@@ -93,13 +95,6 @@ class Verdict:
         return head + tail
 
 
-def _value_descriptor(f: PuiseuxPoly, n: int) -> str:
-    if f.is_ordinary:
-        return str(f.eval_exact(n))
-    lo, hi, den = f._bounds(n, 64)
-    return f"[{lo / den:.6f}, {hi / den:.6f}]"
-
-
 def _verdict(
     src: SequenceSource,
     mode: str,
@@ -129,6 +124,56 @@ def _verdict(
     )
 
 
+def _offset_dtype(counts: list[int], q_max: int, coeff_lo: int, coeff_hi: int, degree: int, scale: int = 1):
+    """int64 when no offset scale*A_q - rest(q), and no partial sum of one,
+    can reach 2^62; otherwise object (Python ints), so that no value wraps."""
+    reach = max(abs(coeff_lo), abs(coeff_hi)) * sum(q_max**k for k in range(1, degree + 1))
+    return np.int64 if scale * max(map(abs, counts), default=0) + reach < 2**62 else object
+
+
+def _offsets(src: SequenceSource, higher, scale: int = 1) -> np.ndarray:
+    """The rows scale*A_q - sum_k h_k q^k over the points of src, one for each
+    row (h_1, ..., h_degree) of the 2-d `higher`."""
+    points = src.values()
+    counts = [count for _, count in points]
+    qs = [pt.q for pt, _ in points]
+    degree = np.shape(higher)[1]
+    h_max = max(map(abs, np.ravel(higher).tolist()), default=0)
+    dtype = _offset_dtype(counts, max(qs, default=0), -h_max, h_max, degree, scale)
+    powers = np.array(qs, dtype=dtype) ** np.arange(1, degree + 1)[:, None]  # row k - 1: q^k
+    offsets = np.array(higher, dtype=dtype) @ -powers
+    offsets += np.array(counts, dtype=dtype) * scale
+    return offsets
+
+
+def _decide(
+    src: SequenceSource,
+    mode: str,
+    witness_threshold: int,
+    offsets: np.ndarray,
+    c: int,
+    scale: int,
+    puiseux_mode: bool,
+) -> Verdict:
+    """The verdict for f = (c + rest)/scale from the offsets
+    D_q = scale*A_q - rest(q) of src's points.  The bound fails at the first
+    D_q > c (ceiling) or D_q < c (floor); before it a witness is D_q = c, or
+    in puiseux mode c - scale < D_q (ceiling) or D_q < c + scale (floor)."""
+    fails = offsets > c if mode == "ceiling" else offsets < c
+    stop = int(fails.argmax()) if fails.any() else len(offsets)
+    window = scale if puiseux_mode else 1
+    head = offsets[:stop]
+    hits = head > c - window if mode == "ceiling" else head < c + window
+    points = src.values()
+    witnesses = [points[i][0].q for i in np.flatnonzero(hits).tolist()]
+    violation = None
+    if stop < len(points):
+        pt, count = points[stop]
+        value = Fraction(scale * count - int(offsets[stop]) + c, scale)
+        violation = Violation(pt.q, count, str(value))
+    return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
+
+
 def _scan(
     f: PuiseuxPoly,
     src: SequenceSource,
@@ -136,33 +181,29 @@ def _scan(
     witness_threshold: int,
     puiseux_mode: bool,
 ) -> Verdict:
-    if puiseux_mode:
-        _, integral = f.value_at_one()
-        if not integral:
-            return replace(
-                _verdict(src, mode, witness_threshold, puiseux_mode=True),
-                status=NON_INTEGRAL_AT_ONE,
-            )
+    if puiseux_mode and not f.value_at_one()[1]:
+        verdict = _verdict(src, mode, witness_threshold, puiseux_mode=True)
+        return replace(verdict, status=NON_INTEGRAL_AT_ONE)
+    if f.is_ordinary:
+        _, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^n
+        coeffs = {n: a for a, n in terms}
+        higher = [[coeffs.get(k, 0) for k in range(1, top + 1)]]
+        offsets = _offsets(src, higher, scale)[0]
+        return _decide(src, mode, witness_threshold, offsets, coeffs.get(0, 0), scale, puiseux_mode)
 
-    # A rounded value equal to the count is a witness by itself in puiseux
-    # mode, and for an integer-valued f, whose floor and ceiling agree.
-    rounded_is_exact = puiseux_mode or f.is_integer_valued
+    # fractional exponents: the certified floor/ceil at each point
+    ceiling = mode == "ceiling"
+    rounded, other = (f.floor_eval, f.ceil_eval) if ceiling else (f.ceil_eval, f.floor_eval)
     witnesses: list[int] = []
     for pt, count in src.values():
         n = pt.q
-        if mode == "ceiling":
-            fl = f.floor_eval(n)
-            if count > fl:  # count <= f(n) fails
-                violation = Violation(n, count, _value_descriptor(f, n))
-                return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
-            hit = fl == count and (rounded_is_exact or f.ceil_eval(n) == count)
-        else:
-            cl = f.ceil_eval(n)
-            if count < cl:  # f(n) <= count fails
-                violation = Violation(n, count, _value_descriptor(f, n))
-                return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
-            hit = cl == count and (rounded_is_exact or f.floor_eval(n) == count)
-        if hit:
+        r = rounded(n)
+        if count > r if ceiling else count < r:  # the bound fails at n
+            lo, hi, den = f._bounds(n, 64)
+            violation = Violation(n, count, f"[{lo / den:.6f}, {hi / den:.6f}]")
+            return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
+        # outside puiseux mode a witness is f(n) = count, so both roundings meet it
+        if r == count and (puiseux_mode or other(n) == count):
             witnesses.append(n)
     return _verdict(src, mode, witness_threshold, witnesses, puiseux_mode=puiseux_mode)
 
@@ -211,35 +252,18 @@ def reject_linear_family(
     caller's signal that an envelope exists at this scale.  No claim beyond
     the scanned limit is made.
 
-    One pass over the offsets D_q = A_q - q decides every c: the scan of
-    t + c as a ceiling stops at the first point whose prefix maximum of D
-    exceeds c (as a floor, whose prefix minimum falls below c), and its
-    witnesses are the earlier points with D_q = c.
+    _decide reads both verdicts of every c from the offsets D_q = A_q - q.
     """
     if src.domain.kind == "naturals_from_2":
         raise ValueError("linear-family rejection runs on prime-based domains")
-    points = [(pt.q, count) for pt, count in src.values()]
-    offsets = [count - q for q, count in points]
-    highest = list(accumulate(offsets, max))
-    negated_lowest = list(accumulate((-d for d in offsets), max))
-    positions = defaultdict(list)
-    for i, d in enumerate(offsets):
-        positions[d].append(i)
-
-    def verdict(mode: str, c: int, stop: int) -> Verdict:
-        hits = positions.get(c, [])
-        witnesses = [points[i][0] for i in hits[: bisect_left(hits, stop)]]
-        violation = None
-        if stop < len(points):
-            n, count = points[stop]
-            violation = Violation(n, count, _value_descriptor(PuiseuxPoly.linear(c), n))
-        return _verdict(src, mode, witness_threshold, witnesses, violation)
-
+    if c_hi - c_lo + 1 > MAX_CANDIDATES:
+        raise ValueError(f"c range too large (limit {MAX_CANDIDATES:,} values)")
+    offsets = _offsets(src, [[1]])[0]
     return [
         LinearCandidateReport(
             c=c,
-            ceiling=verdict("ceiling", c, bisect_right(highest, c)),
-            floor=verdict("floor", c, bisect_right(negated_lowest, -c)),
+            ceiling=_decide(src, "ceiling", witness_threshold, offsets, c, 1, False),
+            floor=_decide(src, "floor", witness_threshold, offsets, c, 1, False),
         )
         for c in range(c_lo, c_hi + 1)
     ]
@@ -256,13 +280,6 @@ class SearchReport:
     witness_threshold: int
 
 
-def _offset_dtype(counts: list[int], q_max: int, coeff_lo: int, coeff_hi: int, degree: int):
-    """int64 when no offset A_q - rest(q), and no partial sum of one, can
-    reach 2^62; otherwise object (Python ints), so that no value wraps."""
-    reach = max(abs(coeff_lo), abs(coeff_hi)) * sum(q_max**k for k in range(1, degree + 1))
-    return np.int64 if max(map(abs, counts), default=0) + reach < 2**62 else object
-
-
 def search_polynomial(
     src: SequenceSource,
     degree: int,
@@ -277,27 +294,20 @@ def search_polynomial(
     verified envelopes of the same kind would have to cross infinitely
     often); several survivors are reported with the ambiguity flag set.
 
-    The offsets D_q = A_q - rest(q) of a tuple of higher coefficients decide
-    every constant term c: c + rest is verified as a ceiling exactly when
-    c >= max D and #{q : D_q = c} reaches the threshold, and as a floor
-    exactly when c <= min D and the same count does.  The tuples are taken
-    in blocks, one row of offsets each, of at most SEARCH_BLOCK_ENTRIES
-    entries; one bincount over a block gives every row's count of every c.
+    Each tuple of higher coefficients is one row of _offsets, and by the rule
+    of _decide its offsets D_q = A_q - rest(q) settle every constant term c:
+    c + rest is a ceiling when c >= max D, a floor when c <= min D, and
+    either needs #{q : D_q = c} to reach the threshold.  One bincount counts
+    those witnesses for a block of at most SEARCH_BLOCK_ENTRIES offsets.
     """
     if degree < 0 or degree > 3:
         raise ValueError("search supports degrees 0..3")
     width = coeff_hi - coeff_lo + 1
-    if width < 1 or width ** (degree + 1) > 10**6:
-        raise ValueError("coefficient box too large (limit 10^6 combinations)")
-    points = src.values()
-    counts = [count for _, count in points]
-    qs = [pt.q for pt, _ in points]
-    dtype = _offset_dtype(counts, max(qs, default=0), coeff_lo, coeff_hi, degree)
-    a = np.array(counts, dtype=dtype)
-    powers = np.array([[q**k for q in qs] for k in range(1, degree + 1)], dtype=dtype)
+    if width < 1 or width ** (degree + 1) > MAX_CANDIDATES:
+        raise ValueError(f"coefficient box too large (limit {MAX_CANDIDATES:,} combinations)")
     constants = np.arange(coeff_lo, coeff_hi + 1)
     tuples = width**degree
-    block = max(1, SEARCH_BLOCK_ENTRIES // max(len(points), width, 1))
+    block = max(1, SEARCH_BLOCK_ENTRIES // max(len(src.values()), width, 1))
     ceilings: list[tuple[int, ...]] = []
     floors: list[tuple[int, ...]] = []
     for start in range(0, tuples, block):
@@ -308,9 +318,7 @@ def search_polynomial(
             [coeff_lo + index // width ** (degree - k) % width for k in range(1, degree + 1)],
             dtype=np.int64,
         ).reshape(degree, rows).T
-        offsets = np.tile(a, (rows, 1))
-        for k in range(degree):
-            offsets -= higher[:, k : k + 1].astype(dtype) * powers[k]
+        offsets = _offsets(src, higher)
         top = offsets.max(axis=1, initial=coeff_lo)
         bottom = offsets.min(axis=1, initial=coeff_hi)
         inside = (offsets >= coeff_lo) & (offsets <= coeff_hi)

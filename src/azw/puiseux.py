@@ -112,16 +112,6 @@ class PuiseuxPoly:
     def is_ordinary(self) -> bool:
         return self.exponent_denominator == 1
 
-    @property
-    def is_integer_valued(self) -> bool:
-        """Integer coefficients and exponents, so f(q) is an integer."""
-        return self._compiled[:2] == (1, 1)
-
-    def leading(self) -> tuple[Fraction, Fraction]:
-        if not self.terms:
-            return Fraction(0), Fraction(0)
-        return self.terms[0]
-
     def value_at_one(self) -> tuple[Fraction, bool]:
         """Sum of coefficients, and whether it is an integer."""
         s = sum((c for c, _ in self.terms), Fraction(0))

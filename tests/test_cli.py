@@ -185,6 +185,29 @@ def test_fit_search_and_reject(capsys):
     assert "c=0: ceiling bound_violated" in out
 
 
+def test_reject_linear_output_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "fit", "reject-linear", "--source", "curve:a=-1,b=0", "--primes-only",
+        "--limit", "100000", "--c-from", "-20", "--c-to", "20",
+    )
+    assert code == 0 and len(out.splitlines()) == 41
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "97cb920a4486cdfffffc71ce39b1cb0a21105690a94d3446056ed7e0451949df"
+    )
+
+
+def test_rational_candidate_puiseux_verdict_is_pinned(capsys):
+    # floor((q + 1)/2) meets #A3(F_q) at two points before q = 8 exceeds 9/2
+    code, out, _ = run_cli(
+        capsys, "fit", "verify", "--source", "An:n=3", "--candidate", "(1/2)t + 1/2",
+        "--puiseux", "--limit", "2000", "--mode", "ceiling",
+    )
+    assert code == 2 and out == (
+        "ceiling candidate on #A3(F_q): bound_violated (witnesses 2/3, limit 2000, excluded {});"
+        " violated at n=8: count 6 vs f(n)=9/2\n"
+    )
+
+
 def test_fit_box_help_names_the_form_that_parses(capsys):
     with pytest.raises(SystemExit):
         cli.main(["fit", "--help"])
@@ -264,6 +287,10 @@ def test_fit_verify_without_candidate_exits_1(capsys):
             ("fit", "reject-linear", "--source", "An:n=3", "--c-from", "5", "--c-to", "1", "--limit", "50"),
             "--c-from 5 is greater than --c-to 1",
         ),
+        (
+            ("fit", "reject-linear", "--source", "An:n=3", "--limit", "50", "--c-from", "0", "--c-to", "10000000"),
+            "c range too large (limit 1,000,000 values)",
+        ),
         (("fit", "verify", "--source", "An:n=3", "--candidate", "t", "--exclude", "x"), "--exclude"),
         (("fit", "verify", "--source", "curve:a=x,b=1", "--candidate", "t"), "integer a=, not 'x'"),
         (("fit", "verify", "--source", "monoid", "--candidate", "t"), "malformed spec 'monoid'"),
@@ -284,7 +311,7 @@ def test_fit_verify_without_candidate_exits_1(capsys):
     ],
     ids=[
         "tensor-one-product", "soule-two-polynomials", "reflect-d-1/0", "candidate-1/0",
-        "box-5:1", "box-5", "c-range-5:1", "exclude-x", "curve-a=x",
+        "box-5:1", "box-5", "c-range-5:1", "c-range-10^7", "exclude-x", "curve-a=x",
         "source-monoid-no-colon", "source-monoid-no-path", "criterion-0", "criterion-99", "criterion--1",
         "source-unknown-key", "family-unknown-key", "source-repeated-key", "family-repeated-key",
         "source-curve-empty-file", "source-curve-file-and-a", "family-exclude-4", "curve-exclude-9",

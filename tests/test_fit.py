@@ -1,3 +1,5 @@
+import math
+from fractions import Fraction
 from itertools import product
 
 import numpy as np
@@ -222,16 +224,42 @@ def test_sequence_source_caches():
     assert len(calls) == len(src.values())
 
 
-# --- closed-form search and linear rejection against one scan per candidate ----
+# --- offsets decisions against one certified comparison per point --------------
+
+
+def reference_scan(f, src, mode, threshold, puiseux_mode=False):
+    """The verdict on an ordinary candidate f from floor_eval/ceil_eval at
+    every point: the bound must hold at each point up to the first violation,
+    and a witness is f(q) = A_q, or in puiseux mode floor(f(q)) = A_q
+    (ceiling) or ceil(f(q)) = A_q (floor)."""
+    assert f.is_ordinary
+
+    def verdict(status, witnesses=(), violation=None):
+        return fit.Verdict(
+            status, mode, tuple(witnesses), violation, src.domain.limit, threshold,
+            puiseux_mode, src.label, src.domain.excluded,
+        )
+
+    if puiseux_mode and f.value_at_one()[0].denominator != 1:
+        return verdict(NON_INTEGRAL_AT_ONE)
+    witnesses = []
+    for pt, count in src.values():
+        q = pt.q
+        lo, hi = f.floor_eval(q), f.ceil_eval(q)
+        if count > lo if mode == "ceiling" else count < hi:
+            return verdict(BOUND_VIOLATED, witnesses, fit.Violation(q, count, str(f.eval_exact(q))))
+        if (lo if mode == "ceiling" else hi) == count and (puiseux_mode or lo == hi):
+            witnesses.append(q)
+    return verdict(VERIFIED if len(witnesses) >= threshold else INSUFFICIENT_WITNESSES, witnesses)
 
 
 def brute_search(src, degree, lo, hi, threshold):
     ceilings, floors = [], []
     for coeffs in product(range(lo, hi + 1), repeat=degree + 1):
         cand = PuiseuxPoly([(c, k) for k, c in enumerate(coeffs)])
-        if fit.verify_ceiling(cand, src, threshold).verified:
+        if reference_scan(cand, src, "ceiling", threshold).verified:
             ceilings.append(cand)
-        if fit.verify_floor(cand, src, threshold).verified:
+        if reference_scan(cand, src, "floor", threshold).verified:
             floors.append(cand)
     return fit.SearchReport(
         ceiling=tuple(ceilings),
@@ -248,8 +276,8 @@ def brute_reject(src, c_lo, c_hi, threshold):
     return [
         fit.LinearCandidateReport(
             c,
-            fit.verify_ceiling(PuiseuxPoly.linear(c), src, threshold),
-            fit.verify_floor(PuiseuxPoly.linear(c), src, threshold),
+            reference_scan(PuiseuxPoly.linear(c), src, "ceiling", threshold),
+            reference_scan(PuiseuxPoly.linear(c), src, "floor", threshold),
         )
         for c in range(c_lo, c_hi + 1)
     ]
@@ -263,16 +291,18 @@ def assert_same_reports(got, want):
 
 
 @st.composite
-def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2")):
-    """A polynomial with small coefficients plus small per-point noise, so
-    that envelopes in small boxes both exist and fail."""
+def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2"), coeffs=None, noise=2):
+    """The floor of a polynomial (small integer coefficients unless `coeffs`
+    are given) plus per-point noise in [-noise, noise], so that envelopes in
+    small boxes both exist and fail."""
     kind = draw(st.sampled_from(kinds))
     excluded = frozenset() if kind == "naturals_from_2" else draw(st.sets(st.sampled_from([2, 3, 5])))
     dom = PrimePowerDomain(excluded, kind, draw(st.integers(2, 60)))
     qs = [pt.q for pt in enumerate_domain(dom)]
-    coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
-    noise = draw(st.lists(st.integers(-2, 2), min_size=len(qs), max_size=len(qs)))
-    counts = {q: sum(c * q**k for k, c in enumerate(coeffs)) + e for q, e in zip(qs, noise)}
+    if coeffs is None:
+        coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
+    errors = draw(st.lists(st.integers(-noise, noise), min_size=len(qs), max_size=len(qs)))
+    counts = {q: math.floor(sum(c * q**k for k, c in enumerate(coeffs))) + e for q, e in zip(qs, errors)}
     return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q])
 
 
@@ -306,6 +336,55 @@ def test_reject_linear_matches_one_scan_per_candidate(src, c_lo, span, threshold
         fit.reject_linear_family(src, c_lo, c_hi, threshold),
         brute_reject(src, c_lo, c_hi, threshold),
     )
+
+
+@st.composite
+def sources_and_candidates(draw):
+    """A source around a polynomial g with coefficients in (1/L)Z, L in 1..4,
+    and the candidate g + m/L: near enough to the counts that exact witnesses,
+    and puiseux-mode witnesses of a fractional f, occur."""
+    den = draw(st.integers(1, 4))
+    nums = draw(st.lists(st.integers(-3 * den, 3 * den), min_size=1, max_size=4))
+    src = draw(integer_sources(coeffs=[Fraction(n, den) for n in nums], noise=1))
+    k, e = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
+    m = k * den - sum(nums) % den + e  # f(1) = (sum(nums) + m)/L is an integer unless e = 1 < L
+    return src, PuiseuxPoly([(Fraction(n, den), k) for k, n in enumerate(nums)] + [(Fraction(m, den), 0)])
+
+
+@given(
+    sources_and_candidates(),
+    st.sampled_from(["ceiling", "floor"]),
+    st.booleans(),
+    st.integers(0, 3),
+    st.sampled_from([0, 2**64 + 7]),
+)
+def test_verify_matches_reference_scan(src_f, mode, puiseux_mode, threshold, shift):
+    src, f = src_f
+    if shift:  # counts past 2^64, and a candidate moved with them
+        src = fit.SequenceSource(src.label, src.domain, lambda pt, fn=src.fn: fn(pt) + shift)
+        f = f + PuiseuxPoly.constant(shift)
+    verify = fit.verify_ceiling if mode == "ceiling" else fit.verify_floor
+    got = verify(f, src, threshold, puiseux_mode=puiseux_mode)
+    want = reference_scan(f, src, mode, threshold, puiseux_mode)
+    assert got == want
+    assert got.summary() == want.summary()
+
+
+def test_scaled_offsets_leave_int64():
+    # the counts 2^61 + q fit int64 with room to spare, but L * A_q reaches
+    # 2^62 from L = 2 and wraps past 2^63 from L = 4
+    src = fit.SequenceSource(
+        "2^61 + q", PrimePowerDomain(frozenset(), "prime_powers", 30), lambda pt: 2**61 + pt.q
+    )
+    assert fit._offsets(src, [[1]]).dtype == np.int64
+    assert fit._offsets(src, [[1]], 3).dtype == object
+    # f(q) - A_q = (q - 2)/5: a ceiling met at q = 2 only, a floor that fails at q = 3
+    close = parse_puiseux(f"(6/5)t + {2**61} - 2/5")
+    for f, mode, puiseux_mode in product((parse_puiseux("(1/3)t"), close), ("ceiling", "floor"), (False, True)):
+        verify = fit.verify_ceiling if mode == "ceiling" else fit.verify_floor
+        assert verify(f, src, 1, puiseux_mode=puiseux_mode) == reference_scan(f, src, mode, 1, puiseux_mode)
+    assert fit.verify_ceiling(close, src, 1).witnesses == (2,)
+    assert fit.verify_floor(close, src, 1).violation.n == 3
 
 
 def spec_f13_src(limit=2000):
