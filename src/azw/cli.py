@@ -278,6 +278,11 @@ def _run_fit(ns: argparse.Namespace) -> int:
     if ns.action == "verify" and not ns.candidate.strip():
         raise ValueError("fit verify needs --candidate")
     cand = parse_puiseux(ns.candidate) if ns.action == "verify" else None
+    # refused before the source is built, since building it counts every point
+    if ns.action == "search":
+        fit.check_box(ns.degree, lo, hi)
+    elif ns.action == "reject-linear":
+        fit.check_c_range(ns.c_from, ns.c_to)
     src = _source(ns.source_spec, _domain(ns))
     if ns.action == "verify":
         check = fit.verify_ceiling if ns.mode == "ceiling" else fit.verify_floor

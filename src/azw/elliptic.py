@@ -17,8 +17,8 @@ chosen by the curve and by p:
 The baby-step giant-step search is one numpy kernel over a batch of primes,
 one lane per prime and point, in Jacobian coordinates (int64 while p < 2^31,
 Python ints above).  Its cost per call is mostly fixed, so callers that need many
-traces ask for them at once: `census` and `count_source` fill the traces of
-all their primes in one batch, and `EllipticCurve.trace` is a batch of one.
+traces ask for them at once: `census` and `count_source` ask for all their
+primes in one batch, and `EllipticCurve.trace` is an uncached batch of one.
 The character sum stays the reference that the tests compare the other two
 paths against.
 Counts over F_{p^m} follow from the trace recursion
@@ -28,7 +28,7 @@ Counts over F_{p^m} follow from the trace recursion
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable, Optional
 
@@ -51,19 +51,27 @@ SUPERSINGULAR = "supersingular"
 OTHER = "other"
 
 
+@dataclass(frozen=True)
 class EllipticCurve:
     """Short Weierstrass curve with integer coefficients and nonzero
-    discriminant; counting is only offered away from the bad primes."""
+    discriminant; counting is only offered away from the bad primes.  Equal
+    (a, b) make equal curves, whatever their labels."""
 
-    def __init__(self, a: int, b: int, label: str = ""):
-        self.a = int(a)
-        self.b = int(b)
-        self.disc = -16 * (4 * self.a**3 + 27 * self.b**2)
-        if self.disc == 0:
-            raise ValueError(f"singular curve: a={a}, b={b}")
-        self.bad_primes = frozenset({2, 3} | {p for p, _ in factorize(self.disc)})
-        self.label = label or self._default_label()
-        self._traces: dict[int, int] = {}
+    a: int
+    b: int
+    label: str = field(default="", compare=False)
+    disc: int = field(init=False, repr=False, compare=False)
+    bad_primes: frozenset[int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "a", int(self.a))
+        object.__setattr__(self, "b", int(self.b))
+        disc = -16 * (4 * self.a**3 + 27 * self.b**2)
+        if disc == 0:
+            raise ValueError(f"singular curve: a={self.a}, b={self.b}")
+        object.__setattr__(self, "disc", disc)
+        object.__setattr__(self, "bad_primes", frozenset({2, 3} | {p for p, _ in factorize(disc)}))
+        object.__setattr__(self, "label", self.label or self._default_label())
 
     def _default_label(self) -> str:
         out = "y^2=x^3"
@@ -77,29 +85,31 @@ class EllipticCurve:
     def __repr__(self):
         return f"EllipticCurve({self.label})"
 
-    def __eq__(self, other):
-        return isinstance(other, EllipticCurve) and (self.a, self.b) == (other.a, other.b)
-
-    def __hash__(self):
-        return hash((self.a, self.b))
-
     def check_good(self, p: int) -> None:
         if p in self.bad_primes or not is_prime(p):
             raise ValueError(f"p={p} is not a good prime for {self.label}")
 
     def trace(self, p: int) -> int:
-        """Frobenius trace a_p = p + 1 - #E(F_p), cached per prime.  A cached
-        p was checked good when it was computed, so only a miss is checked."""
-        if p not in self._traces:
-            self.check_good(p)
-            self._fill([p])
-        return self._traces[p]
+        """Frobenius trace a_p = p + 1 - #E(F_p), computed on every call."""
+        self.check_good(p)
+        return _traces(self.a, self.b, [p])[0]
 
-    def _fill(self, primes: Iterable[int]) -> None:
-        """Cache a_p for every given prime not cached yet, in one batch.  The
-        caller vouches that each prime is good: no primality test runs here."""
-        todo = [p for p in primes if p not in self._traces]
-        self._traces.update(zip(todo, _traces(self.a, self.b, todo)))
+
+@dataclass(frozen=True)
+class _TraceTable:
+    """The traces a_p of one curve at primes its caller has checked good,
+    computed in one `_traces` batch when the table is made.  `trace(p)`
+    reads the table, so `classify_prime` and `count_extension` take a table
+    where they take a curve."""
+
+    by_prime: dict[int, int]
+
+    @classmethod
+    def of(cls, curve: EllipticCurve, primes: list[int]) -> _TraceTable:
+        return cls(dict(zip(primes, _traces(curve.a, curve.b, primes))))
+
+    def trace(self, p: int) -> int:
+        return self.by_prime[p]
 
 
 def _traces(a: int, b: int, primes: list[int]) -> list[int]:
@@ -406,15 +416,12 @@ def _invert_rows(z, p) -> None:
 
 
 def count_fp(curve: EllipticCurve, p: int) -> int:
-    """#E(F_p) = p + 1 + sum_x chi(x^3 + ax + b)."""
+    """#E(F_p) = p + 1 - a_p."""
     return p + 1 - curve.trace(p)
 
 
-def trace_power(curve: EllipticCurve, p: int, m: int) -> int:
-    """a_{p^m} from the two-term recursion; a_{p^0} = 2."""
-    if m < 0:
-        raise ValueError("m must be >= 0")
-    ap = curve.trace(p)
+def trace_power(ap: int, p: int, m: int) -> int:
+    """a_{p^m} from a_p by the two-term recursion (m >= 0); a_{p^0} = 2."""
     prev, cur = 2, ap
     for _ in range(m - 1):
         prev, cur = cur, ap * cur - p * prev
@@ -425,7 +432,7 @@ def count_extension(curve: EllipticCurve, p: int, m: int) -> int:
     """#E(F_{p^m}) = p^m + 1 - a_{p^m}."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    return p**m + 1 - trace_power(curve, p, m)
+    return p**m + 1 - trace_power(curve.trace(p), p, m)
 
 
 def count_extension_oracle(curve: EllipticCurve, p: int, m: int) -> int:
@@ -519,10 +526,10 @@ def census(
     s = frozenset(excluded) if excluded is not None else curve.bad_primes
     if not curve.bad_primes <= s:
         raise ValueError("excluded set must contain the curve's bad primes")
-    # the sieve's primes outside s are good, so they fill the cache unchecked
+    # the sieve's primes outside s are good, so no primality test runs again
     primes = [p for p in sieve(x_max) if p not in s]
-    curve._fill(primes)
-    rows = [(p, curve.trace(p), classify_prime(curve, p)) for p in primes]
+    table = _TraceTable.of(curve, primes)
+    rows = [(p, table.trace(p), classify_prime(table, p)) for p in primes]
 
     champ = tuple(p for p, _, c in rows if c == CHAMPION)
     trail = tuple(p for p, _, c in rows if c == TRAILING)
@@ -611,19 +618,20 @@ def count_source(
     curve: EllipticCurve, domain: PrimePowerDomain
 ) -> fit.SequenceSource:
     """(#E(F_q))_q; the domain's excluded set must cover the bad primes.  The
-    first count fills the traces of every prime of the domain in one batch."""
+    traces of every prime of the domain come from one batch, and each count
+    follows from its prime's trace by the recursion."""
     if domain.kind == "naturals_from_2":
         raise ValueError("curve counts live on prime-based domains")
     if not curve.bad_primes <= domain.excluded:
         raise ValueError("domain must exclude the curve's bad primes")
-
-    def count(pt):
-        if pt.p not in curve._traces:
-            curve._fill(p for p in sieve(domain.limit) if p not in domain.excluded)
-        return count_extension(curve, pt.p, pt.m)
-
-    field = "p" if domain.kind == "primes_only" else "q"
-    return fit.SequenceSource(f"#E(F_{field}), E: {curve.label}", domain, count)
+    primes = [p for p in sieve(domain.limit) if p not in domain.excluded]
+    table = _TraceTable.of(curve, primes)
+    name = "p" if domain.kind == "primes_only" else "q"
+    return fit.SequenceSource(
+        f"#E(F_{name}), E: {curve.label}",
+        domain,
+        lambda pt: count_extension(table, pt.p, pt.m),
+    )
 
 
 FIXTURE_CURVES = (

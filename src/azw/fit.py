@@ -37,25 +37,25 @@ SEARCH_BLOCK_ENTRIES = 1 << 18
 MAX_CANDIDATES = 10**6
 
 
-@dataclass
+@dataclass(frozen=True)
 class SequenceSource:
     """Deterministic integer sequence over a count domain.
 
-    fn maps a DomainPoint to the count A_q; values are computed once and
-    cached so that many candidates can be checked against one sweep.
+    fn maps a DomainPoint to the count A_q.  The (point, count) list is
+    computed once, when the source is built, so that many candidates can be
+    checked against one sweep.
     """
 
     label: str
     domain: PrimePowerDomain
     fn: Callable[[DomainPoint], int]
-    _values: Optional[list[tuple[DomainPoint, int]]] = field(
-        default=None, repr=False, compare=False
-    )
+    points: list[tuple[DomainPoint, int]] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "points", [(pt, self.fn(pt)) for pt in enumerate_domain(self.domain)])
 
     def values(self) -> list[tuple[DomainPoint, int]]:
-        if self._values is None:
-            self._values = [(pt, self.fn(pt)) for pt in enumerate_domain(self.domain)]
-        return self._values
+        return self.points
 
 
 @dataclass(frozen=True)
@@ -239,6 +239,22 @@ class LinearCandidateReport:
     floor: Verdict
 
 
+def check_c_range(c_lo: int, c_hi: int) -> None:
+    """Refuse a reject_linear_family range of more than MAX_CANDIDATES values;
+    a caller may run it before building the source, which counts every point."""
+    if c_hi - c_lo + 1 > MAX_CANDIDATES:
+        raise ValueError(f"c range too large (limit {MAX_CANDIDATES:,} values)")
+
+
+def check_box(degree: int, coeff_lo: int, coeff_hi: int) -> None:
+    """Refuse a search_polynomial degree or box it does not run (see check_c_range)."""
+    if degree < 0 or degree > 3:
+        raise ValueError("search supports degrees 0..3")
+    width = coeff_hi - coeff_lo + 1
+    if width < 1 or width ** (degree + 1) > MAX_CANDIDATES:
+        raise ValueError(f"coefficient box too large (limit {MAX_CANDIDATES:,} combinations)")
+
+
 def reject_linear_family(
     src: SequenceSource,
     c_lo: int,
@@ -256,8 +272,7 @@ def reject_linear_family(
     """
     if src.domain.kind == "naturals_from_2":
         raise ValueError("linear-family rejection runs on prime-based domains")
-    if c_hi - c_lo + 1 > MAX_CANDIDATES:
-        raise ValueError(f"c range too large (limit {MAX_CANDIDATES:,} values)")
+    check_c_range(c_lo, c_hi)
     offsets = _offsets(src, [[1]])[0]
     return [
         LinearCandidateReport(
@@ -300,11 +315,8 @@ def search_polynomial(
     either needs #{q : D_q = c} to reach the threshold.  One bincount counts
     those witnesses for a block of at most SEARCH_BLOCK_ENTRIES offsets.
     """
-    if degree < 0 or degree > 3:
-        raise ValueError("search supports degrees 0..3")
+    check_box(degree, coeff_lo, coeff_hi)
     width = coeff_hi - coeff_lo + 1
-    if width < 1 or width ** (degree + 1) > MAX_CANDIDATES:
-        raise ValueError(f"coefficient box too large (limit {MAX_CANDIDATES:,} combinations)")
     constants = np.arange(coeff_lo, coeff_hi + 1)
     tuples = width**degree
     block = max(1, SEARCH_BLOCK_ENTRIES // max(len(src.values()), width, 1))

@@ -20,7 +20,7 @@ from typing import Iterable
 
 from . import fit
 from .arith import PrimePowerDomain, factorize
-from .puiseux import PuiseuxPoly, expand_binomial
+from .puiseux import PuiseuxPoly, binomial_terms
 from .zeta import FormalProduct
 
 
@@ -116,22 +116,21 @@ def _torsion_floor_factor(pt: MonoidSchemePoint, excluded: frozenset[int]) -> in
     return f
 
 
+def _poly_from_weights(x: MonoidScheme, weight) -> PuiseuxPoly:
+    """sum over points of weight(pt)*(t-1)^r, built from one term list."""
+    return PuiseuxPoly(t for pt in x.points for t in binomial_terms(weight(pt), pt.rank))
+
+
 def ceiling_poly(x: MonoidScheme) -> PuiseuxPoly:
     """sum over points of T*(t-1)^r; independent of any excluded prime set."""
-    acc = PuiseuxPoly()
-    for pt in x.points:
-        acc = acc + expand_binomial(pt.torsion_order, pt.rank)
-    return acc
+    return _poly_from_weights(x, lambda pt: pt.torsion_order)
 
 
 def floor_poly(x: MonoidScheme, excluded: Iterable[int] = ()) -> PuiseuxPoly:
     """sum over points of T_S*(t-1)^r, where T_S doubles once per even chain
     entry when 2 is excluded."""
     s = frozenset(excluded)
-    acc = PuiseuxPoly()
-    for pt in x.points:
-        acc = acc + expand_binomial(_torsion_floor_factor(pt, s), pt.rank)
-    return acc
+    return _poly_from_weights(x, lambda pt: _torsion_floor_factor(pt, s))
 
 
 def _zeta_from_weights(x: MonoidScheme, weight) -> FormalProduct:
@@ -159,10 +158,7 @@ def zeta_floor_product(x: MonoidScheme, excluded: Iterable[int] = ()) -> FormalP
 def f1_ceiling_floor(x: MonoidScheme) -> tuple[PuiseuxPoly, PuiseuxPoly]:
     """Envelopes of (#X(F_{1^(n-1)}))_{n>=2}: ceiling keeps torsion orders,
     floor drops them entirely."""
-    floor = PuiseuxPoly()
-    for pt in x.points:
-        floor = floor + expand_binomial(1, pt.rank)
-    return ceiling_poly(x), floor
+    return ceiling_poly(x), _poly_from_weights(x, lambda pt: 1)
 
 
 def qfiber_ceiling_floor(x: MonoidScheme) -> tuple[PuiseuxPoly, PuiseuxPoly]:

@@ -212,15 +212,19 @@ class PuiseuxPoly:
         raise RuntimeError(f"interval refinement did not resolve at q={q}")
 
 
-def expand_binomial(t_factor: int, r: int) -> PuiseuxPoly:
-    """T*(t-1)^r expanded into canonical form."""
+def binomial_terms(t_factor: int, r: int) -> list[tuple[Fraction, Fraction]]:
+    """The (coefficient, exponent) terms of T*(t-1)^r."""
     if r < 0:
         raise ValueError("power must be non-negative")
-    terms = [
+    return [
         (Fraction(t_factor * (-1) ** (r - k) * math.comb(r, k)), Fraction(k))
         for k in range(r + 1)
     ]
-    return PuiseuxPoly(terms)
+
+
+def expand_binomial(t_factor: int, r: int) -> PuiseuxPoly:
+    """T*(t-1)^r expanded into canonical form."""
+    return PuiseuxPoly(binomial_terms(t_factor, r))
 
 
 # --- text form -------------------------------------------------------------

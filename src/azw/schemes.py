@@ -1,6 +1,8 @@
 """Closed-form point counts and envelopes for the explicit affine families:
 punctured lines A^1 minus {0..n-1}, punctured tori G_m minus mu_{n-1}, and
 Pell conics of discriminant D, each backed by a brute-force field oracle.
+Each public count_* checks p and m once; the sources call the unchecked
+kernels, since enumerate_domain over a validated domain yields only primes.
 """
 
 from __future__ import annotations
@@ -18,7 +20,6 @@ from .arith import (
     factorize,
     is_prime,
     isqrt,
-    legendre,
 )
 from .puiseux import PuiseuxPoly
 
@@ -28,6 +29,11 @@ def _check_prime_power(p: int, m: int) -> None:
         raise ValueError(f"{p} is not prime")
     if m < 1:
         raise ValueError("m must be >= 1")
+
+
+def _check_n(n: int, least: int) -> None:
+    if n < least:
+        raise ValueError(f"n must be >= {least}")
 
 
 def _smallest_prime_not_in(excluded: frozenset[int]) -> int:
@@ -42,12 +48,15 @@ def _smallest_prime_not_in(excluded: frozenset[int]) -> int:
 # --- punctured affine line A^1 minus {0,...,n-1} -----------------------------
 
 
+def _an(n: int, p: int, m: int) -> int:
+    return p**m - min(p, n)
+
+
 def count_an(n: int, p: int, m: int) -> int:
     """#(A^1 minus first n integer sections)(F_{p^m}) = p^m - min(p, n)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 1)
     _check_prime_power(p, m)
-    return p**m - min(p, n)
+    return _an(n, p, m)
 
 
 def count_an_oracle(n: int, p: int, m: int) -> int:
@@ -59,8 +68,7 @@ def count_an_oracle(n: int, p: int, m: int) -> int:
 
 def envelopes_an(n: int, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly]:
     """(t - n1, t - n) with n1 = min(n, smallest non-excluded prime)."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    _check_n(n, 1)
     s = frozenset(excluded)
     n1 = min(n, _smallest_prime_not_in(s))
     return PuiseuxPoly.linear(-n1), PuiseuxPoly.linear(-n)
@@ -69,13 +77,16 @@ def envelopes_an(n: int, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly
 # --- punctured torus G_m minus mu_{n-1} --------------------------------------
 
 
-def count_gn(n: int, p: int, m: int) -> int:
-    """#(G_m minus (n-1)-th roots of unity)(F_q) = (q-1) - gcd(q-1, n-1)."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
-    _check_prime_power(p, m)
+def _gn(n: int, p: int, m: int) -> int:
     q = p**m
     return (q - 1) - math.gcd(q - 1, n - 1)
+
+
+def count_gn(n: int, p: int, m: int) -> int:
+    """#(G_m minus (n-1)-th roots of unity)(F_q) = (q-1) - gcd(q-1, n-1)."""
+    _check_n(n, 2)
+    _check_prime_power(p, m)
+    return _gn(n, p, m)
 
 
 def count_gn_oracle(n: int, p: int, m: int) -> int:
@@ -100,8 +111,7 @@ def unit_power_census(p: int, m: int, k_max: int) -> list[int]:
 
 def envelopes_gn(n: int, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly]:
     """(t - n2, t - n); n2 = 3 when n is odd and 2 is excluded, else 2."""
-    if n < 2:
-        raise ValueError("n must be >= 2")
+    _check_n(n, 2)
     s = frozenset(excluded)
     n2 = 3 if (n % 2 == 1 and 2 in s) else 2
     return PuiseuxPoly.linear(-n2), PuiseuxPoly.linear(-n)
@@ -132,10 +142,7 @@ class PellConic:
         return self.disc > 0 and isqrt(self.disc) ** 2 == self.disc
 
 
-def count_pell(conic: PellConic, p: int, m: int) -> int:
-    """Exact point count over F_{p^m}, by the quadratic-character case split."""
-    _check_prime_power(p, m)
-    d = conic.disc
+def _pell(d: int, p: int, m: int) -> int:
     q = p**m
     if p == 2:
         if d % 2 == 0:
@@ -143,8 +150,14 @@ def count_pell(conic: PellConic, p: int, m: int) -> int:
         return q - (-1) ** ((d * d - 1) // 8 * m % 2)
     if d % p == 0:
         return 2 * q
-    chi = legendre(d, p)
+    chi = 1 if pow(d, (p - 1) // 2, p) == 1 else -1  # Euler's criterion
     return q - chi**m
+
+
+def count_pell(conic: PellConic, p: int, m: int) -> int:
+    """Exact point count over F_{p^m}, by the quadratic-character case split."""
+    _check_prime_power(p, m)
+    return _pell(conic.disc, p, m)
 
 
 def count_pell_oracle(conic: PellConic, p: int, m: int) -> int:
@@ -207,21 +220,22 @@ def qfiber_envelopes_pell(conic: PellConic) -> tuple[PuiseuxPoly, PuiseuxPoly]:
 # --- count sources -------------------------------------------------------------
 
 
+def _source(label: str, domain: PrimePowerDomain, kernel, arg) -> fit.SequenceSource:
+    """kernel(arg, p, m) at every point p^m of the domain, unchecked."""
+    if domain.kind == "naturals_from_2":
+        raise ValueError("family counts live on prime-based domains")
+    return fit.SequenceSource(label, domain, lambda pt: kernel(arg, pt.p, pt.m))
+
+
 def an_source(n: int, domain: PrimePowerDomain) -> fit.SequenceSource:
-    return fit.SequenceSource(
-        label=f"#A{n}(F_q)", domain=domain, fn=lambda pt: count_an(n, pt.p, pt.m)
-    )
+    _check_n(n, 1)
+    return _source(f"#A{n}(F_q)", domain, _an, n)
 
 
 def gn_source(n: int, domain: PrimePowerDomain) -> fit.SequenceSource:
-    return fit.SequenceSource(
-        label=f"#G{n}(F_q)", domain=domain, fn=lambda pt: count_gn(n, pt.p, pt.m)
-    )
+    _check_n(n, 2)
+    return _source(f"#G{n}(F_q)", domain, _gn, n)
 
 
 def pell_source(conic: PellConic, domain: PrimePowerDomain) -> fit.SequenceSource:
-    return fit.SequenceSource(
-        label=f"#Pell(D={conic.disc})(F_q)",
-        domain=domain,
-        fn=lambda pt: count_pell(conic, pt.p, pt.m),
-    )
+    return _source(f"#Pell(D={conic.disc})(F_q)", domain, _pell, conic.disc)

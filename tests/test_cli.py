@@ -8,7 +8,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from azw import cli, monoid
+from azw import cli, fit, monoid
 from azw.puiseux import format_puiseux, parse_puiseux
 from azw.zeta import parse_product
 
@@ -266,6 +266,26 @@ def test_family_source_without_n_exits_1(capsys):
     code, _, err = run_cli(capsys, "fit", "verify", "--source", "An:m=3", "--candidate", "t")
     assert code == 1 and "error:" in err and "n=" in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "action, message",
+    [
+        (("reject-linear", "--c-from", "0", "--c-to", "10000000"), "c range too large"),
+        (("search", "--box=-600:600", "--degree", "1"), "coefficient box too large"),
+        (("search", "--degree", "4"), "search supports degrees 0..3"),
+    ],
+)
+def test_fit_refuses_range_box_and_degree_before_counting(capsys, monkeypatch, action, message):
+    def count(src):
+        raise AssertionError("the source was built")
+
+    monkeypatch.setattr(fit.SequenceSource, "__post_init__", count)
+    code, out, err = run_cli(
+        capsys, "fit", action[0], "--source", "curve:a=-1,b=0", "--limit", "1000000", *action[1:]
+    )
+    assert code == 1 and out == ""
+    assert message in err and err.count("\n") == 1
 
 
 def test_fit_verify_without_candidate_exits_1(capsys):

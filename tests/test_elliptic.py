@@ -73,7 +73,7 @@ def test_count_extension_examples():
         elliptic.count_extension(E_PX, 5, 0)
 
 
-def test_trace_cache_still_rejects_bad_and_composite_p():
+def test_trace_rejects_bad_and_composite_p_after_good_ones():
     curve = EllipticCurve(-1, 1)  # bad primes 2, 3, 23
     for p in sieve(100):
         if p not in curve.bad_primes:
@@ -81,7 +81,7 @@ def test_trace_cache_still_rejects_bad_and_composite_p():
     for p in (2, 3, 23, 1, 15, 25, 91):
         with pytest.raises(ValueError):
             curve.trace(p)
-        with pytest.raises(ValueError):  # nothing was cached by the failed call
+        with pytest.raises(ValueError):  # a failed call leaves nothing behind
             curve.trace(p)
 
 
@@ -183,6 +183,21 @@ def test_classify_trichotomy():
                 cls == elliptic.OTHER and ap not in (0, bound, -bound),
             ]
             assert sum(matches) == 1
+
+
+def test_census_batches_its_traces_and_classifies_through_classify_prime(monkeypatch):
+    batches, classified = [], []
+    monkeypatch.setattr(
+        elliptic, "_traces", lambda a, b, ps, f=elliptic._traces: batches.append(ps) or f(a, b, ps)
+    )
+    monkeypatch.setattr(
+        elliptic, "classify_prime", lambda c, p, f=elliptic.classify_prime: classified.append(p) or f(c, p)
+    )
+    curve = elliptic.EllipticCurve(-1, 1)
+    rep = elliptic.census(curve, 3000)
+    primes = [p for p in sieve(3000) if p not in curve.bad_primes]
+    assert batches == [primes] and classified == primes
+    assert [p for p, _, _ in rep.rows] == primes
 
 
 def test_first_champion_reverified_by_enumeration():
@@ -465,7 +480,7 @@ def test_trace_dispatch(monkeypatch):
         ),
     ):
         calls.clear()
-        EllipticCurve(a, b)._fill(primes)
+        elliptic._traces(a, b, primes)
         assert calls == paths, (a, b)
     # a lane that no tried point certifies falls back to the character sum
     monkeypatch.setattr(

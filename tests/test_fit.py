@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from fractions import Fraction
 from itertools import product
@@ -7,8 +8,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from azw import elliptic, fit, monoid, schemes
-from azw.arith import PrimePowerDomain, enumerate_domain
+from azw import arith, elliptic, fit, monoid, schemes
+from azw.arith import PrimePowerDomain, enumerate_domain, sieve
 from azw.fit import (
     BOUND_VIOLATED,
     INSUFFICIENT_WITNESSES,
@@ -215,13 +216,61 @@ def test_summary_prints_excluded_as_a_set():
     assert "excluded {})" in fit.verify_ceiling(parse_puiseux("t + 1"), src, 3).summary()
 
 
-def test_sequence_source_caches():
+def test_sequence_source_counts_once_when_built():
     calls = []
     dom = PrimePowerDomain(frozenset(), "prime_powers", 50)
     src = fit.SequenceSource("probe", dom, lambda pt: calls.append(pt.q) or pt.q)
-    src.values()
-    src.values()
+    assert calls == [pt.q for pt in enumerate_domain(dom)]  # every point, at construction
+    assert src.values() is src.values()
     assert len(calls) == len(src.values())
+
+
+def test_sources_check_primes_once_and_batch_their_traces(monkeypatch):
+    # the family sources test primality only where the domain is validated
+    tested = []
+
+    def counted(n, is_prime=arith.is_prime):
+        tested.append(n)
+        return is_prime(n)
+
+    for module in (arith, schemes):
+        monkeypatch.setattr(module, "is_prime", counted)
+    excluded = frozenset({2, 7})
+    dom = PrimePowerDomain(excluded, "prime_powers", 5000)
+    assert sorted(tested) == sorted(excluded)
+    tested.clear()
+    conic = schemes.PellConic(-20)
+    sources = [
+        (schemes.pell_source(conic, dom), lambda p, m: schemes.count_pell(conic, p, m)),
+        (schemes.an_source(3, dom), lambda p, m: schemes.count_an(3, p, m)),
+        (schemes.gn_source(5, dom), lambda p, m: schemes.count_gn(5, p, m)),
+    ]
+    assert tested == []
+    for src, count in sources:  # the unchecked counts equal the checked ones
+        assert src.values() == [(pt, count(pt.p, pt.m)) for pt in enumerate_domain(dom)]
+
+    # a curve's source asks for the traces of all its primes in one batch
+    batches = []
+    monkeypatch.setattr(
+        elliptic, "_traces", lambda a, b, ps, f=elliptic._traces: batches.append(ps) or f(a, b, ps)
+    )
+    curve = elliptic.EllipticCurve(-1, 1)
+    src = elliptic.count_source(curve, PrimePowerDomain(curve.bad_primes, "prime_powers", 5000))
+    for f, verify in ((CEIL_E, fit.verify_ceiling), (FLOOR_E, fit.verify_floor)) * 3:
+        verify(f, src, 1, puiseux_mode=True)
+    assert batches == [[p for p in sieve(5000) if p not in curve.bad_primes]]
+
+
+def test_curves_and_sources_are_frozen_values():
+    src = elliptic_src(50)
+    curve = elliptic.EllipticCurve(-1, 0, "x")
+    for obj, name in ((curve, "a"), (curve, "label"), (src, "label"), (src, "points")):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(obj, name, None)
+    assert curve == elliptic.EllipticCurve(-1, 0) == E_MX
+    assert hash(curve) == hash(elliptic.EllipticCurve(-1, 0))
+    assert curve.label == "x" and E_MX.label == "y^2=x^3-x"
+    assert curve != elliptic.EllipticCurve(-1, 1)
 
 
 # --- offsets decisions against one certified comparison per point --------------

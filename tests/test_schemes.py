@@ -1,7 +1,10 @@
+import re
+
 import pytest
 
-from azw import fit, schemes
+from azw import elliptic, fit, schemes
 from azw.arith import PrimePowerDomain, sieve
+from azw.elliptic import EllipticCurve
 from azw.puiseux import parse_puiseux
 from azw.schemes import PellConic
 
@@ -145,3 +148,44 @@ def test_an_gn_envelope_verification_small():
         src = schemes.gn_source(n, dom)
         assert fit.verify_ceiling(ceiling, src, 3).verified
         assert fit.verify_floor(floor, src, 3).verified
+
+
+E_BAD = EllipticCurve(-1, 1)  # bad primes 2, 3, 23
+# each public count at (p, m); the families have no bad primes
+COUNTS = {
+    "count_an": (lambda p, m: schemes.count_an(3, p, m), ()),
+    "count_gn": (lambda p, m: schemes.count_gn(5, p, m), ()),
+    "count_pell": (lambda p, m: schemes.count_pell(PellConic(5), p, m), ()),
+    "count_extension": (lambda p, m: elliptic.count_extension(E_BAD, p, m), (2, 3, 23)),
+    "trace": (lambda p, m: E_BAD.trace(p), (2, 3, 23)),
+}
+
+
+@pytest.mark.parametrize("name", COUNTS)
+def test_counts_refuse_composite_and_bad_p_and_m_below_1(name):
+    count, bad = COUNTS[name]
+    count(7, 1)
+    curve = name in ("count_extension", "trace")
+    for p in (1, 0, -7, 15, 91, 10**4 + 1, *bad):
+        message = f"p={p} is not a good prime for {E_BAD.label}" if curve else f"{p} is not prime"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            count(p, 1)
+    if name != "trace":
+        with pytest.raises(ValueError, match="^m must be >= 1$"):
+            count(7, 0)
+
+
+def test_family_sources_refuse_naturals_and_small_n():
+    naturals = PrimePowerDomain(frozenset(), "naturals_from_2", 50)
+    for build in (
+        lambda: schemes.an_source(3, naturals),
+        lambda: schemes.gn_source(5, naturals),
+        lambda: schemes.pell_source(PellConic(5), naturals),
+    ):
+        with pytest.raises(ValueError, match="prime-based domains"):
+            build()
+    dom = PrimePowerDomain(frozenset(), "prime_powers", 50)
+    with pytest.raises(ValueError, match="^n must be >= 1$"):
+        schemes.an_source(0, dom)
+    with pytest.raises(ValueError, match="^n must be >= 2$"):
+        schemes.gn_source(1, dom)
