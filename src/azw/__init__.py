@@ -1,7 +1,7 @@
 """azw: exact point counts, ceiling/floor (Puiseux) envelopes, and absolute
 zeta functions as formal products."""
 
-from .arith import PrimePowerDomain, build_field, enumerate_domain, isqrt, legendre
+from .arith import PrimePowerDomain, build_field, isqrt, legendre
 from .elliptic import EllipticCurve, census, classify_prime, count_extension, count_fp
 from .fit import (
     SequenceSource,

@@ -143,20 +143,20 @@ def criterion_02() -> CriterionResult:
     failures = []
     rng = random.Random(0x5EED)
     checked = 0
+    domains = [PrimePowerDomain(s, "prime_powers", 5000) for s in (frozenset(), frozenset({2}))]
     for i in range(200):
         x = random_scheme(rng)
         if monoid.zeta_product(x) != soule_zeta(monoid.ceiling_poly(x)):
             failures.append(f"zeta mismatch on scheme {i}")
             continue
-        for s in (frozenset(), frozenset({2})):
-            dom = PrimePowerDomain(s, "prime_powers", 5000)
+        for dom in domains:
             src = monoid.zlift_source(x, dom)
             vc = fit.verify_ceiling(monoid.ceiling_poly(x), src, 3)
-            vf = fit.verify_floor(monoid.floor_poly(x, s), src, 3)
+            vf = fit.verify_floor(monoid.floor_poly(x, dom.excluded), src, 3)
             if not vc.verified:
-                failures.append(f"ceiling {vc.status} on scheme {i}, S={sorted(s)}")
+                failures.append(f"ceiling {vc.status} on scheme {i}, S={sorted(dom.excluded)}")
             if not vf.verified:
-                failures.append(f"floor {vf.status} on scheme {i}, S={sorted(s)}")
+                failures.append(f"floor {vf.status} on scheme {i}, S={sorted(dom.excluded)}")
         checked += 1
     return _result(2, "monoid-closed-forms", t0, failures, f"{checked} schemes", budget=30.0)
 
@@ -209,14 +209,20 @@ def criterion_04() -> CriterionResult:
                 failures.append(f"count mismatch D={d}, q={p}^3")
             count_checks += 1
 
+    domains = {}  # (excluded set, limit) -> the one domain that every disc shares
+
+    def domain(s, limit):
+        if (s, limit) not in domains:
+            domains[s, limit] = PrimePowerDomain(s, "prime_powers", limit)
+        return domains[s, limit]
+
     shortfalls = []
     healed = 0
     env_checks = 0
     for d in discs:
         conic = schemes.PellConic(d)
         for s in (frozenset(), frozenset({2}), conic.bad_primes, conic.bad_primes | {2}):
-            dom = PrimePowerDomain(s, "prime_powers", PELL_LIMIT)
-            src = schemes.pell_source(conic, dom)
+            src = schemes.pell_source(conic, domain(s, PELL_LIMIT))
             ceiling, floor = schemes.envelopes_pell(conic, s)
             for mode, check, poly in (
                 ("ceiling", fit.verify_ceiling, ceiling),
@@ -226,8 +232,7 @@ def criterion_04() -> CriterionResult:
                 env_checks += 1
                 if v.status == fit.INSUFFICIENT_WITNESSES:
                     # diagnostic: the same pair at a limit covering p^3 for every odd p | D
-                    big = PrimePowerDomain(s, "prime_powers", PELL_DIAGNOSTIC_LIMIT)
-                    diag = check(poly, schemes.pell_source(conic, big), 3)
+                    diag = check(poly, schemes.pell_source(conic, domain(s, PELL_DIAGNOSTIC_LIMIT)), 3)
                     if diag.verified:
                         healed += 1
                     else:

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -75,6 +76,8 @@ def sieve(limit: int) -> list[int]:
     """All primes <= limit."""
     if limit < 2:
         return []
+    if limit >= sys.maxsize:
+        raise ValueError(f"sieve limit {limit} is too large to index")
     flags = bytearray([1]) * (limit + 1)
     flags[0] = flags[1] = 0
     for p in range(2, math.isqrt(limit) + 1):
@@ -130,15 +133,17 @@ class DomainPoint(NamedTuple):
 class PrimePowerDomain:
     """Finite index set for count sequences.
 
-    kind 'prime_powers' enumerates {p^m <= limit : p prime not in excluded},
+    kind 'prime_powers' holds {p^m <= limit : p prime not in excluded},
     'primes_only' the primes themselves, and 'naturals_from_2' all integers
-    2..limit (excluded must then be empty).  Enumeration is strictly
-    increasing in q with no duplicates.
+    2..limit (excluded must then be empty).  `points` lists them strictly
+    increasing in q with no duplicates; it is computed once, when the
+    domain is built, so callers share one enumeration by sharing the domain.
     """
 
     excluded: frozenset[int] = frozenset()
     kind: str = "prime_powers"
     limit: int = 10000
+    points: tuple[DomainPoint, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("prime_powers", "primes_only", "naturals_from_2"):
@@ -149,30 +154,22 @@ class PrimePowerDomain:
         if self.kind == "naturals_from_2":
             if self.excluded:
                 raise ValueError("naturals_from_2 takes no excluded set")
-            return
-        for s in self.excluded:
-            if not is_prime(s):
-                raise ValueError(f"excluded entry {s} is not prime")
-
-
-def enumerate_domain(domain: PrimePowerDomain) -> list[DomainPoint]:
-    """All points of the domain, ascending in q."""
-    if domain.kind == "naturals_from_2":
-        return [DomainPoint(n, None, None) for n in range(2, domain.limit + 1)]
-    points = []
-    for p in sieve(domain.limit):
-        if p in domain.excluded:
-            continue
-        if domain.kind == "primes_only":
-            points.append(DomainPoint(p, p, 1))
-            continue
-        q, m = p, 1
-        while q <= domain.limit:
-            points.append(DomainPoint(q, p, m))
-            q *= p
-            m += 1
-    points.sort()
-    return points
+            points = [DomainPoint(n, None, None) for n in range(2, self.limit + 1)]
+        else:
+            for s in self.excluded:
+                if not is_prime(s):
+                    raise ValueError(f"excluded entry {s} is not prime")
+            points = []
+            for p in sieve(self.limit):
+                if p in self.excluded:
+                    continue
+                q, m = p, 1
+                while q <= self.limit and (m == 1 or self.kind == "prime_powers"):
+                    points.append(DomainPoint(q, p, m))
+                    q *= p
+                    m += 1
+            points.sort()
+        object.__setattr__(self, "points", tuple(points))
 
 
 # --- small explicit fields, used only as counting oracles ---------------

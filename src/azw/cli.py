@@ -13,13 +13,12 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import elliptic, fit, monoid, schemes
-from .arith import PrimePowerDomain, enumerate_domain, is_prime
+from .arith import PrimePowerDomain, is_prime
 from .puiseux import format_puiseux, parse_fraction, parse_puiseux
 from .zeta import check_functional_equation, format_product, parse_product, reflect, soule_zeta, tensor
 
@@ -84,10 +83,11 @@ def _parse_box(text: str) -> tuple[int, int]:
     raise ValueError(f"--box must be LO:HI with integers LO <= HI, not {text!r}")
 
 
-def _domain(ns: argparse.Namespace) -> PrimePowerDomain:
-    """The domain of --limit, --exclude and --primes-only."""
-    kind = "primes_only" if ns.primes_only else "prime_powers"
-    return PrimePowerDomain(_excluded(ns.exclude), kind, _positive("--limit", ns.limit))
+def _domain_args(ns: argparse.Namespace) -> tuple[frozenset[int], str, int]:
+    """A PrimePowerDomain's arguments from --exclude, --primes-only and --limit, validated."""
+    if ns.limit < 2:
+        raise ValueError(f"--limit must be at least 2, not {ns.limit}")
+    return _excluded(ns.exclude), "primes_only" if ns.primes_only else "prime_powers", ns.limit
 
 
 def _parse_spec(spec: str, heads) -> tuple[str, dict[str, str]]:
@@ -150,18 +150,19 @@ def _load_curve(path: str, label: str) -> elliptic.EllipticCurve:
     raise ValueError(f"curve {label!r} not found in {path}")
 
 
-def _source(spec: str, dom: PrimePowerDomain) -> fit.SequenceSource:
-    """Build a sequence source from a spec string.
+def _source(spec: str, excluded: frozenset[int], kind: str, limit: int) -> fit.SequenceSource:
+    """Build a sequence source from a spec string over its one domain; a
+    curve's domain also excludes the curve's bad primes.
 
     Forms: 'An:n=3', 'Gn:n=5', 'pell:delta=5', 'curve:a=-1,b=0',
     'curve:file=PATH,label=L', 'monoid:file=PATH' or 'monoid:PATH'.
     """
     if spec.partition(":")[0] in FAMILIES:
         fam, obj = _family(spec)
-        return fam.source(obj, dom)
+        return fam.source(obj, PrimePowerDomain(excluded, kind, limit))
     head, kv = _parse_spec(spec, SPEC_KEYS)
     if head == "monoid":
-        return monoid.zlift_source(monoid.load_scheme(kv["file"]), dom)
+        return monoid.zlift_source(monoid.load_scheme(kv["file"]), PrimePowerDomain(excluded, kind, limit))
     if "file" in kv:
         if "a" in kv or "b" in kv:
             raise ValueError(f"spec {spec!r} takes either a=,b= or file=, not both")
@@ -169,8 +170,7 @@ def _source(spec: str, dom: PrimePowerDomain) -> fit.SequenceSource:
     else:
         a, b = _int_arg(spec, kv, "a"), _int_arg(spec, kv, "b")
         curve = elliptic.EllipticCurve(a, b, kv.get("label", ""))
-    dom = dataclasses.replace(dom, excluded=dom.excluded | curve.bad_primes)
-    return elliptic.count_source(curve, dom)
+    return elliptic.count_source(curve, PrimePowerDomain(excluded | curve.bad_primes, kind, limit))
 
 
 # --- subcommand handlers -------------------------------------------------------
@@ -214,16 +214,16 @@ def _run_zeta(ns: argparse.Namespace) -> int:
 
 
 def _run_monoid(ns: argparse.Namespace) -> int:
-    dom = _domain(ns)
+    excluded, kind, limit = _domain_args(ns)
     x = monoid.load_scheme(ns.input_path)
     if ns.action == "counts":
-        rows = [(pt.p, pt.m, pt.q, monoid.count_f1n(x, pt.q - 1)) for pt in enumerate_domain(dom)]
-        _emit_counts(ns.fmt, rows)
+        points = PrimePowerDomain(excluded, kind, limit).points
+        _emit_counts(ns.fmt, [(pt.p, pt.m, pt.q, monoid.count_f1n(x, pt.q - 1)) for pt in points])
     elif ns.action == "envelopes":
-        pair = (monoid.ceiling_poly(x), monoid.floor_poly(x, dom.excluded))
+        pair = (monoid.ceiling_poly(x), monoid.floor_poly(x, excluded))
         _print_envelopes(pair, monoid.qfiber_ceiling_floor(x))
     else:
-        ceiling, floor = monoid.zeta_product(x), monoid.zeta_floor_product(x, dom.excluded)
+        ceiling, floor = monoid.zeta_product(x), monoid.zeta_floor_product(x, excluded)
         print(f"zeta ceiling: {format_product(ceiling)}")
         print(f"zeta floor: {format_product(floor)}")
     return EXIT_OK
@@ -231,12 +231,12 @@ def _run_monoid(ns: argparse.Namespace) -> int:
 
 def _run_family(ns: argparse.Namespace) -> int:
     fam, obj = _family(ns.family_spec)
-    dom = _domain(ns)
+    excluded, kind, limit = _domain_args(ns)
     if ns.action == "counts":
-        rows = [(pt.p, pt.m, pt.q, fam.count(obj, pt.p, pt.m)) for pt in enumerate_domain(dom)]
-        _emit_counts(ns.fmt, rows)
+        points = PrimePowerDomain(excluded, kind, limit).points
+        _emit_counts(ns.fmt, [(pt.p, pt.m, pt.q, fam.count(obj, pt.p, pt.m)) for pt in points])
     else:
-        _print_envelopes(fam.envelopes(obj, dom.excluded), fam.qfiber(obj) if fam.qfiber else None)
+        _print_envelopes(fam.envelopes(obj, excluded), fam.qfiber(obj) if fam.qfiber else None)
     return EXIT_OK
 
 
@@ -283,7 +283,7 @@ def _run_fit(ns: argparse.Namespace) -> int:
         fit.check_box(ns.degree, lo, hi)
     elif ns.action == "reject-linear":
         fit.check_c_range(ns.c_from, ns.c_to)
-    src = _source(ns.source_spec, _domain(ns))
+    src = _source(ns.source_spec, *_domain_args(ns))
     if ns.action == "verify":
         check = fit.verify_ceiling if ns.mode == "ceiling" else fit.verify_floor
         v = check(cand, src, witnesses, puiseux_mode=ns.puiseux)
@@ -317,7 +317,7 @@ def _run_repro(ns: argparse.Namespace) -> int:
 # --- argument parsing -----------------------------------------------------------
 
 def _add_domain(p: argparse.ArgumentParser) -> None:
-    """The options that _domain reads."""
+    """The options that _domain_args reads."""
     p.add_argument("--limit", type=int, default=10000)
     p.add_argument("--exclude", default="", help="comma-separated primes to exclude")
     p.add_argument("--primes-only", action="store_true")

@@ -574,17 +574,18 @@ class MaxMinReport:
 
 def maximal_minimal_check(curve: EllipticCurve, p: int, k_max: int) -> MaxMinReport:
     """For a supersingular p, verify that F_{p^(4k-2)} attains the upper
-    Hasse-Weil bound and F_{p^(4k)} the lower one, for k = 1..k_max."""
-    if not is_supersingular(curve, p):
+    Hasse-Weil bound p^m + 2p^(m/2) + 1 and F_{p^(4k)} the lower one, for
+    k = 1..k_max; every count follows from the one a_p by the recursion."""
+    ap = curve.trace(p)
+    if ap != 0:
         raise ValueError(f"p={p} is not supersingular for {curve.label}")
-    checks = []
-    for k in range(1, k_max + 1):
-        m = 4 * k - 2
-        checks.append(MaxMinCheck(m, p**m + 2 * p ** (2 * k - 1) + 1, count_extension(curve, p, m)))
-        m = 4 * k
-        checks.append(MaxMinCheck(m, p**m - 2 * p ** (2 * k) + 1, count_extension(curve, p, m)))
+    checks = tuple(
+        MaxMinCheck(m, p**m + sign * 2 * p ** (m // 2) + 1, p**m + 1 - trace_power(ap, p, m))
+        for k in range(1, k_max + 1)
+        for m, sign in ((4 * k - 2, 1), (4 * k, -1))
+    )
     first_bad = next((c for c in checks if not c.ok), None)
-    return MaxMinReport(p, k_max, tuple(checks), first_bad)
+    return MaxMinReport(p, k_max, checks, first_bad)
 
 
 @dataclass(frozen=True)
@@ -618,14 +619,13 @@ def count_source(
     curve: EllipticCurve, domain: PrimePowerDomain
 ) -> fit.SequenceSource:
     """(#E(F_q))_q; the domain's excluded set must cover the bad primes.  The
-    traces of every prime of the domain come from one batch, and each count
-    follows from its prime's trace by the recursion."""
+    traces of the domain's primes (its points with m = 1) come from one
+    batch, and each count follows from its prime's trace by the recursion."""
     if domain.kind == "naturals_from_2":
         raise ValueError("curve counts live on prime-based domains")
     if not curve.bad_primes <= domain.excluded:
         raise ValueError("domain must exclude the curve's bad primes")
-    primes = [p for p in sieve(domain.limit) if p not in domain.excluded]
-    table = _TraceTable.of(curve, primes)
+    table = _TraceTable.of(curve, [pt.p for pt in domain.points if pt.m == 1])
     name = "p" if domain.kind == "primes_only" else "q"
     return fit.SequenceSource(
         f"#E(F_{name}), E: {curve.label}",

@@ -20,7 +20,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .arith import DomainPoint, PrimePowerDomain, enumerate_domain
+from .arith import DomainPoint, PrimePowerDomain
 from .puiseux import PuiseuxPoly
 
 VERIFIED = "verified"
@@ -42,8 +42,8 @@ class SequenceSource:
     """Deterministic integer sequence over a count domain.
 
     fn maps a DomainPoint to the count A_q.  The (point, count) list is
-    computed once, when the source is built, so that many candidates can be
-    checked against one sweep.
+    computed once, over the domain's points, when the source is built, so
+    that many candidates can be checked against one sweep.
     """
 
     label: str
@@ -52,7 +52,7 @@ class SequenceSource:
     points: list[tuple[DomainPoint, int]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", [(pt, self.fn(pt)) for pt in enumerate_domain(self.domain)])
+        object.__setattr__(self, "points", [(pt, self.fn(pt)) for pt in self.domain.points])
 
     def values(self) -> list[tuple[DomainPoint, int]]:
         return self.points

@@ -224,10 +224,17 @@ def scheme_to_dict(x: MonoidScheme) -> dict:
     }
 
 
+def _json_int(value) -> int:
+    """A JSON integer as read by json.load: an int, and not a bool."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise TypeError(f"expected an integer, not {value!r}")
+    return value
+
+
 def scheme_from_dict(data: dict) -> MonoidScheme:
     try:
         pts = tuple(
-            MonoidSchemePoint(int(p["r"]), tuple(int(t) for t in p.get("torsion", ())))
+            MonoidSchemePoint(_json_int(p["r"]), tuple(_json_int(t) for t in p.get("torsion", ())))
             for p in data["points"]
         )
         return MonoidScheme(pts, str(data.get("label", "")))

@@ -2,7 +2,7 @@
 punctured lines A^1 minus {0..n-1}, punctured tori G_m minus mu_{n-1}, and
 Pell conics of discriminant D, each backed by a brute-force field oracle.
 Each public count_* checks p and m once; the sources call the unchecked
-kernels, since enumerate_domain over a validated domain yields only primes.
+kernels, since the points of a validated domain have only prime bases.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ import dataclasses
 
 import pytest
 
-from azw import acceptance
+from azw import acceptance, arith
 
 # criterion 4's pinned parameters, written out here so that re-pinning them fails
 PELL_LIMIT = 5000
@@ -91,3 +91,11 @@ def test_census_does_not_depend_on_run_order():
     first = outcome(acceptance.criterion_10())
     acceptance.criterion_09()
     assert outcome(acceptance.criterion_10()) == first
+
+
+def test_criterion_02_sieves_its_two_domains_once(monkeypatch):
+    # the 200 schemes share the two domains, so the 400 sources sieve nothing
+    sieved = []
+    monkeypatch.setattr(arith, "sieve", lambda n, f=arith.sieve: sieved.append(n) or f(n))
+    assert acceptance.criterion_02().passed
+    assert sieved == [5000, 5000]

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from azw.arith import (
     PrimePowerDomain,
     build_field,
-    enumerate_domain,
     factorize,
     iroot,
     is_prime,
@@ -80,17 +80,30 @@ def test_legendre_sums_to_zero():
 
 def test_enumerate_examples():
     d = PrimePowerDomain(frozenset(), "prime_powers", 10)
-    assert [(pt.p, pt.m, pt.q) for pt in enumerate_domain(d)] == [
+    assert [(pt.p, pt.m, pt.q) for pt in d.points] == [
         (2, 1, 2), (3, 1, 3), (2, 2, 4), (5, 1, 5), (7, 1, 7), (2, 3, 8), (3, 2, 9),
     ]
     d2 = PrimePowerDomain(frozenset({2}), "prime_powers", 10)
-    assert [pt.q for pt in enumerate_domain(d2)] == [3, 5, 7, 9]
+    assert [pt.q for pt in d2.points] == [3, 5, 7, 9]
     d3 = PrimePowerDomain(frozenset(), "primes_only", 10)
-    assert [pt.q for pt in enumerate_domain(d3)] == [2, 3, 5, 7]
+    assert [pt.q for pt in d3.points] == [2, 3, 5, 7]
     d4 = PrimePowerDomain(frozenset(), "naturals_from_2", 6)
-    assert [(pt.q, pt.p, pt.m) for pt in enumerate_domain(d4)] == [
+    assert [(pt.q, pt.p, pt.m) for pt in d4.points] == [
         (2, None, None), (3, None, None), (4, None, None), (5, None, None), (6, None, None),
     ]
+
+
+def test_domain_points_follow_a_replaced_excluded_set():
+    dom = PrimePowerDomain(frozenset({2}), "prime_powers", 50)
+    fewer = dataclasses.replace(dom, excluded=frozenset({2, 3, 7}))
+    assert [pt.q for pt in fewer.points] == [
+        pt.q for pt in dom.points if pt.p not in (3, 7)
+    ] == [5, 11, 13, 17, 19, 23, 25, 29, 31, 37, 41, 43, 47]
+    # the points are not part of a domain's value
+    assert fewer == PrimePowerDomain(frozenset({2, 3, 7}), "prime_powers", 50)
+    assert "points" not in repr(fewer)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        fewer.points = ()
 
 
 def test_enumerate_against_sieve_oracle():
@@ -111,7 +124,7 @@ def test_enumerate_against_sieve_oracle():
             k //= p
         if k == 1 and p not in excluded:
             expected.append(n)
-    got = [pt.q for pt in enumerate_domain(PrimePowerDomain(excluded, "prime_powers", limit))]
+    got = [pt.q for pt in PrimePowerDomain(excluded, "prime_powers", limit).points]
     assert got == expected
     assert all(a < b for a, b in zip(got, got[1:]))
 
@@ -138,6 +151,15 @@ def test_is_prime_matches_sieve():
     primes = set(sieve(2000))
     for n in range(2001):
         assert is_prime(n) == (n in primes)
+
+
+def test_sieve_refuses_a_limit_too_large_to_index():
+    # 10^23 cannot size a bytearray; nothing is allocated before the refusal
+    message = f"sieve limit {10**23} is too large to index"
+    with pytest.raises(ValueError, match=message):
+        sieve(10**23)
+    with pytest.raises(ValueError, match=message):
+        PrimePowerDomain(frozenset(), "primes_only", 10**23)
 
 
 def test_build_field_prime_field():

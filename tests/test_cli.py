@@ -9,6 +9,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 from azw import cli, fit, monoid
+from azw.arith import PrimePowerDomain
 from azw.puiseux import format_puiseux, parse_puiseux
 from azw.zeta import parse_product
 
@@ -382,6 +383,55 @@ def test_monoid_bad_exclude_prints_nothing(tmp_path, capsys):
     code, out, err = run_cli(capsys, "monoid", "envelopes", "--in", str(path), "--exclude", "4")
     assert code == 1 and out == ""
     assert err == "error: excluded entry 4 is not prime\n"
+
+
+@pytest.mark.parametrize("text", ['{"r": 1.7}', '{"r": true}', '{"r": 1e400}', '{"r": 1, "torsion": [2.0]}'])
+def test_monoid_json_takes_only_integers(tmp_path, capsys, text):
+    path = tmp_path / "x.json"
+    path.write_text(f'{{"points": [{text}]}}')
+    code, out, err = run_cli(capsys, "monoid", "envelopes", "--in", str(path))
+    assert code == 1 and out == ""
+    assert err.startswith("error: malformed monoid scheme JSON: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("monoid", "envelopes", "--in", "P1"),
+        ("monoid", "zeta", "--in", "P1"),
+        ("family", "pell:delta=5", "envelopes"),
+        ("family", "Gn:n=5", "envelopes", "--exclude", "2,3"),
+    ],
+)
+def test_envelope_commands_build_no_domain(tmp_path, capsys, monkeypatch, argv):
+    path = tmp_path / "p1.json"
+    monoid.save_scheme(monoid.projective_space(1), str(path))
+    argv = [str(path) if a == "P1" else a for a in argv]
+    code, want, _ = run_cli(capsys, *argv)
+    assert code == 0 and want
+
+    def built(dom):
+        raise AssertionError("a domain was built")
+
+    monkeypatch.setattr(PrimePowerDomain, "__post_init__", built)
+    assert run_cli(capsys, *argv, "--limit", str(10**23)) == (0, want, "")
+    code, out, err = run_cli(capsys, *argv, "--limit", "1")
+    assert code == 1 and out == "" and err == "error: --limit must be at least 2, not 1\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("fit", "verify", "--source", "curve:a=1,b=1", "--candidate", "t", "--limit", str(10**23)),
+        ("family", "An:n=3", "counts", "--limit", str(10**23)),
+        ("curve", "census", "--a", "1", "--b", "1", "--xmax", str(10**23)),
+    ],
+    ids=["fit-limit", "family-counts-limit", "census-xmax"],
+)
+def test_a_limit_too_large_to_sieve_exits_1(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err == f"error: sieve limit {10**23} is too large to index\n"
 
 
 @pytest.mark.parametrize(

@@ -242,6 +242,18 @@ def test_maximal_minimal_check():
         elliptic.maximal_minimal_check(E_PX, 5, 1)
 
 
+def test_maximal_minimal_check_computes_a_p_once(monkeypatch):
+    batches = []
+    monkeypatch.setattr(
+        elliptic, "_traces", lambda a, b, ps, f=elliptic._traces: batches.append(ps) or f(a, b, ps)
+    )
+    rep = elliptic.maximal_minimal_check(E_PX, 7, 2)
+    assert batches == [[7]]
+    assert [(c.m, c.actual) for c in rep.checks] == [
+        (m, elliptic.count_extension_oracle(E_PX, 7, m)) for m in (2, 4)
+    ] + [(6, 7**6 + 2 * 7**3 + 1), (8, 7**8 - 2 * 7**4 + 1)]
+
+
 def test_hasse_weil_bounds():
     hw = elliptic.hasse_weil_bounds(25, 1)
     assert (hw.integer_lower, hw.integer_upper) == (16, 36)

@@ -9,7 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from azw import arith, elliptic, fit, monoid, schemes
-from azw.arith import PrimePowerDomain, enumerate_domain, sieve
+from azw.arith import PrimePowerDomain, sieve
 from azw.fit import (
     BOUND_VIOLATED,
     INSUFFICIENT_WITNESSES,
@@ -220,7 +220,7 @@ def test_sequence_source_counts_once_when_built():
     calls = []
     dom = PrimePowerDomain(frozenset(), "prime_powers", 50)
     src = fit.SequenceSource("probe", dom, lambda pt: calls.append(pt.q) or pt.q)
-    assert calls == [pt.q for pt in enumerate_domain(dom)]  # every point, at construction
+    assert calls == [pt.q for pt in dom.points]  # every point, at construction
     assert src.values() is src.values()
     assert len(calls) == len(src.values())
 
@@ -247,7 +247,7 @@ def test_sources_check_primes_once_and_batch_their_traces(monkeypatch):
     ]
     assert tested == []
     for src, count in sources:  # the unchecked counts equal the checked ones
-        assert src.values() == [(pt, count(pt.p, pt.m)) for pt in enumerate_domain(dom)]
+        assert src.values() == [(pt, count(pt.p, pt.m)) for pt in dom.points]
 
     # a curve's source asks for the traces of all its primes in one batch
     batches = []
@@ -255,10 +255,16 @@ def test_sources_check_primes_once_and_batch_their_traces(monkeypatch):
         elliptic, "_traces", lambda a, b, ps, f=elliptic._traces: batches.append(ps) or f(a, b, ps)
     )
     curve = elliptic.EllipticCurve(-1, 1)
-    src = elliptic.count_source(curve, PrimePowerDomain(curve.bad_primes, "prime_powers", 5000))
+    dom = PrimePowerDomain(curve.bad_primes, "prime_powers", 5000)
+    # and reads its primes from the domain's points, sieving nothing again
+    sieved = []
+    for module in (arith, elliptic):
+        monkeypatch.setattr(module, "sieve", lambda n, f=sieve: sieved.append(n) or f(n))
+    src = elliptic.count_source(curve, dom)
     for f, verify in ((CEIL_E, fit.verify_ceiling), (FLOOR_E, fit.verify_floor)) * 3:
         verify(f, src, 1, puiseux_mode=True)
     assert batches == [[p for p in sieve(5000) if p not in curve.bad_primes]]
+    assert sieved == []
 
 
 def test_curves_and_sources_are_frozen_values():
@@ -347,7 +353,7 @@ def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2
     kind = draw(st.sampled_from(kinds))
     excluded = frozenset() if kind == "naturals_from_2" else draw(st.sets(st.sampled_from([2, 3, 5])))
     dom = PrimePowerDomain(excluded, kind, draw(st.integers(2, 60)))
-    qs = [pt.q for pt in enumerate_domain(dom)]
+    qs = [pt.q for pt in dom.points]
     if coeffs is None:
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
     errors = draw(st.lists(st.integers(-noise, noise), min_size=len(qs), max_size=len(qs)))
