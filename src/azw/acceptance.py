@@ -197,14 +197,15 @@ def criterion_04() -> CriterionResult:
     failures = []
     discs = _valid_pell_discs(50)
     count_checks = 0
+    primes_97, primes_13 = sieve(97), sieve(13)
     for d in discs:
         conic = schemes.PellConic(d)
-        for p in sieve(97):
+        for p in primes_97:
             for m in (1, 2):
                 if schemes.count_pell(conic, p, m) != schemes.count_pell_oracle(conic, p, m):
                     failures.append(f"count mismatch D={d}, q={p}^{m}")
                 count_checks += 1
-        for p in sieve(13):
+        for p in primes_13:
             if schemes.count_pell(conic, p, 3) != schemes.count_pell_oracle(conic, p, 3):
                 failures.append(f"count mismatch D={d}, q={p}^3")
             count_checks += 1

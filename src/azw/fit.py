@@ -7,13 +7,16 @@ the threshold and the excluded primes, so a 'verified' is always a statement
 about a declared finite scan, never a proof.
 
 An ordinary candidate f = (c + rest)/L (integer exponents; c, L integers) is
-decided exactly from the offsets D_q = L*A_q - rest(q) by _decide.  Only
-fractional exponents are scanned point by point, through the certified
-floor/ceil of the puiseux module: an integer A <= f(n) iff A <= floor(f(n)).
+decided exactly from the offsets D_q = L*A_q - rest(q) by _decide, and one
+with exponent denominator 2 from such offsets less one exact integer square
+root per point (_roots).  Only exponent denominators >= 3 are scanned point
+by point, through the certified floor/ceil of the puiseux module: an integer
+A <= f(n) iff A <= floor(f(n)).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Callable, Optional
@@ -124,25 +127,48 @@ def _verdict(
     )
 
 
-def _offset_dtype(counts: list[int], q_max: int, coeff_lo: int, coeff_hi: int, degree: int, scale: int = 1):
+def _offset_dtype(
+    counts: list[int], q_max: int, coeff_lo: int, coeff_hi: int, degree: int, scale: int = 1, odd=()
+):
     """int64 when no offset scale*A_q - rest(q), and no partial sum of one,
-    can reach 2^62; otherwise object (Python ints), so that no value wraps."""
+    can reach 2^62, nor P(q)^2 q for P(t) = sum_k odd[k] t^k (whose root, below
+    2^31, keeps every offset below 2^63); otherwise object (Python ints)."""
     reach = max(abs(coeff_lo), abs(coeff_hi)) * sum(q_max**k for k in range(1, degree + 1))
-    return np.int64 if scale * max(map(abs, counts), default=0) + reach < 2**62 else object
+    square = sum(abs(a) * q_max**k for k, a in enumerate(odd)) ** 2 * q_max
+    return np.int64 if max(scale * max(map(abs, counts), default=0) + reach, square) < 2**62 else object
 
 
-def _offsets(src: SequenceSource, higher, scale: int = 1) -> np.ndarray:
+def _roots(qs: np.ndarray, odd) -> np.ndarray:
+    """floor(y) + ceil(y) for y = P(q) sqrt(q), P(t) = sum_k odd[k] t^k: 2y at
+    integer y, odd where y, and so f(q), is irrational and cannot equal a count.
+    floor(|y|) = isqrt(P(q)^2 q); in int64, a float sqrt corrected by one."""
+    p = sum(a * qs**k for k, a in enumerate(odd))
+    square = p * p * qs
+    if qs.dtype == object:
+        root = np.array([math.isqrt(v) for v in square.tolist()], dtype=object)
+    else:
+        root = np.sqrt(square.astype(np.float64)).astype(np.int64)
+        root -= root * root > square
+        root += (root + 1) * (root + 1) <= square
+    both = 2 * root + (root * root != square).astype(qs.dtype)
+    return np.where(p < 0, -both, both)
+
+
+def _offsets(src: SequenceSource, higher, scale: int = 1, odd=()) -> np.ndarray:
     """The rows scale*A_q - sum_k h_k q^k over the points of src, one for each
-    row (h_1, ..., h_degree) of the 2-d `higher`."""
+    row (h_1, ..., h_degree) of the 2-d `higher`, less _roots(q, odd)."""
     points = src.values()
     counts = [count for _, count in points]
     qs = [pt.q for pt, _ in points]
     degree = np.shape(higher)[1]
     h_max = max(map(abs, np.ravel(higher).tolist()), default=0)
-    dtype = _offset_dtype(counts, max(qs, default=0), -h_max, h_max, degree, scale)
-    powers = np.array(qs, dtype=dtype) ** np.arange(1, degree + 1)[:, None]  # row k - 1: q^k
+    dtype = _offset_dtype(counts, max(qs, default=0), -h_max, h_max, degree, scale, odd)
+    qs = np.array(qs, dtype=dtype)
+    powers = qs ** np.arange(1, degree + 1)[:, None]  # row k - 1: q^k
     offsets = np.array(higher, dtype=dtype) @ -powers
     offsets += np.array(counts, dtype=dtype) * scale
+    if odd:
+        offsets -= _roots(qs, odd)
     return offsets
 
 
@@ -184,14 +210,23 @@ def _scan(
     if puiseux_mode and not f.value_at_one()[1]:
         verdict = _verdict(src, mode, witness_threshold, puiseux_mode=True)
         return replace(verdict, status=NON_INTEGRAL_AT_ONE)
-    if f.is_ordinary:
-        _, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^n
-        coeffs = {n: a for a, n in terms}
+    d, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^(n/d)
+    coeffs = {n: a for a, n in terms}
+    if d == 1:
         higher = [[coeffs.get(k, 0) for k in range(1, top + 1)]]
         offsets = _offsets(src, higher, scale)[0]
         return _decide(src, mode, witness_threshold, offsets, coeffs.get(0, 0), scale, puiseux_mode)
+    if d == 2:
+        # f = (c + R(q) + P(q) sqrt(q))/L, decided on 2(L*A_q - R(q)) - _roots at 2c, 2L
+        even = [[2 * coeffs.get(n, 0) for n in range(2, top + 1, 2)]]
+        odd = [coeffs.get(n, 0) for n in range(1, top + 1, 2)]
+        offsets = _offsets(src, even, 2 * scale, odd)[0]
+        c = coeffs.get(0, 0)
+        verdict = _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode)
+        v = verdict.violation
+        return replace(verdict, violation=v and Violation(v.n, v.count, _interval(f, v.n)))
 
-    # fractional exponents: the certified floor/ceil at each point
+    # exponent denominators >= 3: the certified floor/ceil at each point
     ceiling = mode == "ceiling"
     rounded, other = (f.floor_eval, f.ceil_eval) if ceiling else (f.ceil_eval, f.floor_eval)
     witnesses: list[int] = []
@@ -199,13 +234,18 @@ def _scan(
         n = pt.q
         r = rounded(n)
         if count > r if ceiling else count < r:  # the bound fails at n
-            lo, hi, den = f._bounds(n, 64)
-            violation = Violation(n, count, f"[{lo / den:.6f}, {hi / den:.6f}]")
+            violation = Violation(n, count, _interval(f, n))
             return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
         # outside puiseux mode a witness is f(n) = count, so both roundings meet it
         if r == count and (puiseux_mode or other(n) == count):
             witnesses.append(n)
     return _verdict(src, mode, witness_threshold, witnesses, puiseux_mode=puiseux_mode)
+
+
+def _interval(f: PuiseuxPoly, n: int) -> str:
+    """f(n) as its certified 64-bit interval."""
+    lo, hi, den = f._bounds(n, 64)
+    return f"[{lo / den:.6f}, {hi / den:.6f}]"
 
 
 def verify_ceiling(

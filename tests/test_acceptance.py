@@ -99,3 +99,20 @@ def test_criterion_02_sieves_its_two_domains_once(monkeypatch):
     monkeypatch.setattr(arith, "sieve", lambda n, f=arith.sieve: sieved.append(n) or f(n))
     assert acceptance.criterion_02().passed
     assert sieved == [5000, 5000]
+
+
+def test_criterion_04_sieves_its_fixed_limits_once(monkeypatch):
+    # the 49 discriminants share the oracle primes below 97 and 13, and the
+    # 40 domains at 5000 and 2 at 110000 sieve once each
+    sieved = []
+
+    def counted(n, sieve=arith.sieve):
+        sieved.append(n)
+        return sieve(n)
+
+    for module in (arith, acceptance):
+        monkeypatch.setattr(module, "sieve", counted)
+    result = acceptance.criterion_04()
+    assert sorted(sieved) == [13, 97] + [5000] * 40 + [110000] * 2
+    assert not result.passed
+    assert "16 shortfalls at the pinned limit, 16 of them verified at limit 110000" in result.line()

@@ -282,12 +282,12 @@ def test_curves_and_sources_are_frozen_values():
 # --- offsets decisions against one certified comparison per point --------------
 
 
-def reference_scan(f, src, mode, threshold, puiseux_mode=False):
-    """The verdict on an ordinary candidate f from floor_eval/ceil_eval at
-    every point: the bound must hold at each point up to the first violation,
-    and a witness is f(q) = A_q, or in puiseux mode floor(f(q)) = A_q
-    (ceiling) or ceil(f(q)) = A_q (floor)."""
-    assert f.is_ordinary
+def certified_scan(f, src, mode, threshold, puiseux_mode=False):
+    """The verdict on f from the certified floor_eval/ceil_eval at every
+    point: the bound must hold at each point up to the first violation, and a
+    witness is f(q) = A_q, or in puiseux mode floor(f(q)) = A_q (ceiling) or
+    ceil(f(q)) = A_q (floor).  A violation prints f(q) exactly when f is
+    ordinary and as its 64-bit interval otherwise."""
 
     def verdict(status, witnesses=(), violation=None):
         return fit.Verdict(
@@ -302,7 +302,12 @@ def reference_scan(f, src, mode, threshold, puiseux_mode=False):
         q = pt.q
         lo, hi = f.floor_eval(q), f.ceil_eval(q)
         if count > lo if mode == "ceiling" else count < hi:
-            return verdict(BOUND_VIOLATED, witnesses, fit.Violation(q, count, str(f.eval_exact(q))))
+            if f.is_ordinary:
+                value = str(f.eval_exact(q))
+            else:
+                low, high, den = f._bounds(q, 64)
+                value = f"[{low / den:.6f}, {high / den:.6f}]"
+            return verdict(BOUND_VIOLATED, witnesses, fit.Violation(q, count, value))
         if (lo if mode == "ceiling" else hi) == count and (puiseux_mode or lo == hi):
             witnesses.append(q)
     return verdict(VERIFIED if len(witnesses) >= threshold else INSUFFICIENT_WITNESSES, witnesses)
@@ -312,9 +317,9 @@ def brute_search(src, degree, lo, hi, threshold):
     ceilings, floors = [], []
     for coeffs in product(range(lo, hi + 1), repeat=degree + 1):
         cand = PuiseuxPoly([(c, k) for k, c in enumerate(coeffs)])
-        if reference_scan(cand, src, "ceiling", threshold).verified:
+        if certified_scan(cand, src, "ceiling", threshold).verified:
             ceilings.append(cand)
-        if reference_scan(cand, src, "floor", threshold).verified:
+        if certified_scan(cand, src, "floor", threshold).verified:
             floors.append(cand)
     return fit.SearchReport(
         ceiling=tuple(ceilings),
@@ -331,8 +336,8 @@ def brute_reject(src, c_lo, c_hi, threshold):
     return [
         fit.LinearCandidateReport(
             c,
-            reference_scan(PuiseuxPoly.linear(c), src, "ceiling", threshold),
-            reference_scan(PuiseuxPoly.linear(c), src, "floor", threshold),
+            certified_scan(PuiseuxPoly.linear(c), src, "ceiling", threshold),
+            certified_scan(PuiseuxPoly.linear(c), src, "floor", threshold),
         )
         for c in range(c_lo, c_hi + 1)
     ]
@@ -414,13 +419,16 @@ def sources_and_candidates(draw):
     st.sampled_from([0, 2**64 + 7]),
 )
 def test_verify_matches_reference_scan(src_f, mode, puiseux_mode, threshold, shift):
-    src, f = src_f
+    assert_verify_matches_certified_scan(*src_f, mode, puiseux_mode, threshold, shift)
+
+
+def assert_verify_matches_certified_scan(src, f, mode, puiseux_mode, threshold, shift=0):
     if shift:  # counts past 2^64, and a candidate moved with them
         src = fit.SequenceSource(src.label, src.domain, lambda pt, fn=src.fn: fn(pt) + shift)
         f = f + PuiseuxPoly.constant(shift)
     verify = fit.verify_ceiling if mode == "ceiling" else fit.verify_floor
     got = verify(f, src, threshold, puiseux_mode=puiseux_mode)
-    want = reference_scan(f, src, mode, threshold, puiseux_mode)
+    want = certified_scan(f, src, mode, threshold, puiseux_mode)
     assert got == want
     assert got.summary() == want.summary()
 
@@ -437,9 +445,80 @@ def test_scaled_offsets_leave_int64():
     close = parse_puiseux(f"(6/5)t + {2**61} - 2/5")
     for f, mode, puiseux_mode in product((parse_puiseux("(1/3)t"), close), ("ceiling", "floor"), (False, True)):
         verify = fit.verify_ceiling if mode == "ceiling" else fit.verify_floor
-        assert verify(f, src, 1, puiseux_mode=puiseux_mode) == reference_scan(f, src, mode, 1, puiseux_mode)
+        assert verify(f, src, 1, puiseux_mode=puiseux_mode) == certified_scan(f, src, mode, 1, puiseux_mode)
     assert fit.verify_ceiling(close, src, 1).witnesses == (2,)
     assert fit.verify_floor(close, src, 1).violation.n == 3
+
+
+@st.composite
+def half_integer_sources_and_candidates(draw):
+    """A source around g = (1/L)(a_0 + a_1 t^{1/2} + a_2 t + a_3 t^{3/2})
+    with integer a_e of both signs, a_1 or a_3 nonzero and L in 1..4, on a
+    prime-power domain (so that the squares p^2, p^4, where g is rational,
+    occur), and the candidate g + m/L: near enough to the counts that exact
+    witnesses, puiseux-mode witnesses and violations all occur."""
+    den = draw(st.integers(1, 4))
+    nums = draw(
+        st.lists(st.integers(-3 * den, 3 * den), min_size=4, max_size=4).filter(lambda a: a[1] or a[3])
+    )
+    g = PuiseuxPoly([(Fraction(n, den), Fraction(k, 2)) for k, n in enumerate(nums)])
+    kind = draw(st.sampled_from(["prime_powers", "primes_only"]))
+    dom = PrimePowerDomain(draw(st.sets(st.sampled_from([2, 3, 5]))), kind, draw(st.integers(2, 300)))
+    errors = draw(st.lists(st.integers(-1, 1), min_size=len(dom.points), max_size=len(dom.points)))
+    counts = {pt.q: g.floor_eval(pt.q) + e for pt, e in zip(dom.points, errors)}
+    k, e = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
+    m = k * den - sum(nums) % den + e  # f(1) is an integer unless e = 1 < L
+    return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q]), g + PuiseuxPoly.constant(Fraction(m, den))
+
+
+@given(
+    half_integer_sources_and_candidates(),
+    st.sampled_from(["ceiling", "floor"]),
+    st.booleans(),
+    st.integers(0, 3),
+    st.sampled_from([0, 2**64 + 7]),
+)
+def test_half_integer_verify_matches_certified_scan(src_f, mode, puiseux_mode, threshold, shift):
+    assert src_f[1].exponent_denominator == 2
+    assert_verify_matches_certified_scan(*src_f, mode, puiseux_mode, threshold, shift)
+
+
+@pytest.mark.parametrize(
+    "text, even, odd, dtype",
+    [
+        (f"t + {2**30 - 1}t^{{1/2}}", [2], [2**30 - 1], np.int64),  # P(4)^2 4 = 2^62 - 2^33 + 4
+        (f"t + {2**30}t^{{1/2}}", [2], [2**30], object),  # P(4)^2 4 = 2^62
+        (f"t^{{1/2}} + {2**61 - 3}", [], [1], np.int64),  # 2 A_q <= 2^62 - 2
+        (f"t^{{1/2}} + {2**61 - 2}", [], [1], object),  # 2 A_4 = 2^62
+    ],
+    ids=["root-under", "root-at", "count-under", "count-at"],
+)
+def test_half_integer_offsets_at_the_int64_bound(text, even, odd, dtype):
+    # the counts floor(f(q)) at q = 2, 4 and one more at q = 3: the bound
+    # fails at 3 (ceiling) or 2 (floor), and f(4) = A_4 is an exact witness
+    f = parse_puiseux(text)
+    src = fit.SequenceSource(
+        "floor f + [q = 3]", PrimePowerDomain(frozenset(), "prime_powers", 4),
+        lambda pt: f.floor_eval(pt.q) + (pt.q == 3),
+    )
+    assert fit._offsets(src, [even], 2, odd).dtype == dtype  # f = (R + P sqrt(q))/1, twice
+    for mode, puiseux_mode in product(("ceiling", "floor"), (False, True)):
+        assert_verify_matches_certified_scan(src, f, mode, puiseux_mode, 1)
+
+
+@pytest.mark.parametrize("a", [1, -1, 3, -5])
+def test_roots_are_exact_next_to_large_squares(a):
+    # near 2^62 a float sqrt of m^2 - 1 or m^2 + 1 rounds to m: the int64 path
+    # must correct it in integers to what math.isqrt gives the object path
+    m = math.isqrt(2**62 // (a * a)) - 1
+    qs = [m * m - 1, m * m, m * m + 1, m * m + m, (m + 1) ** 2 - 1]
+    want = []
+    for q in qs:
+        root = math.isqrt(a * a * q)
+        both = 2 * root + (root * root != a * a * q)
+        want.append(both if a > 0 else -both)
+    for dtype in (np.int64, object):
+        assert fit._roots(np.array(qs, dtype=dtype), [a]).tolist() == want
 
 
 def spec_f13_src(limit=2000):
