@@ -292,11 +292,11 @@ def criterion_06() -> CriterionResult:
     failures = []
     checks = 0
     for curve in elliptic.FIXTURE_CURVES:
-        for p in sieve(31):
-            if p in curve.bad_primes:
-                continue
+        primes = [p for p in sieve(31) if p not in curve.bad_primes]
+        table = elliptic.TraceTable.of(curve, primes)  # every a_p in one batch
+        for p in primes:
             for m in (1, 2, 3):
-                if elliptic.count_extension(curve, p, m) != elliptic.count_extension_oracle(curve, p, m):
+                if elliptic.count_extension(table, p, m) != elliptic.count_extension_oracle(curve, p, m):
                     failures.append(f"{curve.label}, q={p}^{m}")
                 checks += 1
     return _result(6, "trace-recursion", t0, failures, f"{checks} exhaustive comparisons")
@@ -310,17 +310,17 @@ def criterion_07() -> CriterionResult:
     failures = []
     ss_seen = 0
     for curve in elliptic.CM_FIXTURES:
-        for p in sieve(500):
-            if p in curve.bad_primes:
-                continue
-            maximal = elliptic.count_extension(curve, p, 2) == p * p + 2 * p + 1
-            if elliptic.is_supersingular(curve, p):
+        primes = [p for p in sieve(500) if p not in curve.bad_primes]
+        table = elliptic.TraceTable.of(curve, primes)  # every a_p in one batch
+        for p in primes:
+            maximal = elliptic.count_extension(table, p, 2) == p * p + 2 * p + 1
+            if elliptic.is_supersingular(table, p):
                 ss_seen += 1
-                if not elliptic.maximal_minimal_check(curve, p, 2).all_hold:
+                if not elliptic.maximal_minimal_check(table, p, 2).all_hold:
                     failures.append(f"{curve.label}: max/min fails at {p}")
                 if not maximal:
                     failures.append(f"{curve.label}: not F_p2-maximal at supersingular {p}")
-                if elliptic.local_zeta(curve, p).numerator != (1, 0, p):
+                if elliptic.local_zeta(table, p).numerator != (1, 0, p):
                     failures.append(f"{curve.label}: local zeta not 1+pT^2 at {p}")
             elif maximal:
                 failures.append(f"{curve.label}: ordinary {p} is F_p2-maximal")

@@ -83,7 +83,7 @@ def sieve(limit: int) -> list[int]:
     for p in range(2, math.isqrt(limit) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
-    return [i for i, f in enumerate(flags) if f]
+    return np.flatnonzero(np.frombuffer(flags, dtype=np.uint8)).tolist()
 
 
 def factorize(n: int) -> list[tuple[int, int]]:
@@ -110,6 +110,13 @@ def factorize(n: int) -> list[tuple[int, int]]:
     if n > 1:
         out.append((n, 1))
     return out
+
+
+def check_excluded(entries) -> None:
+    """Refuse an excluded set with an entry that is not prime."""
+    for s in sorted(entries):
+        if not is_prime(s):
+            raise ValueError(f"excluded entry {s} is not prime")
 
 
 def legendre(a: int, p: int) -> int:
@@ -156,9 +163,7 @@ class PrimePowerDomain:
                 raise ValueError("naturals_from_2 takes no excluded set")
             points = [DomainPoint(n, None, None) for n in range(2, self.limit + 1)]
         else:
-            for s in self.excluded:
-                if not is_prime(s):
-                    raise ValueError(f"excluded entry {s} is not prime")
+            check_excluded(self.excluded)
             points = []
             for p in sieve(self.limit):
                 if p in self.excluded:

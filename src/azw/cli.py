@@ -18,7 +18,7 @@ import sys
 from typing import Callable, NamedTuple, Optional
 
 from . import elliptic, fit, monoid, schemes
-from .arith import PrimePowerDomain, is_prime
+from .arith import PrimePowerDomain, check_excluded
 from .puiseux import format_puiseux, parse_fraction, parse_puiseux
 from .zeta import check_functional_equation, format_product, parse_product, reflect, soule_zeta, tensor
 
@@ -60,15 +60,16 @@ def _positive(flag: str, value: int) -> int:
     return value
 
 
-def _excluded(text: str) -> frozenset[int]:
-    """'2,3' -> {2, 3}; every entry must be prime."""
+def _excluded(ns: argparse.Namespace) -> frozenset[int]:
+    """--exclude '2,3' -> {2, 3}; every entry must be prime.  Each is tested
+    once: here, unless the command builds a PrimePowerDomain (fit, counts) or
+    runs a census from the set, which test it themselves."""
     try:
-        primes = frozenset(int(tok) for tok in text.split(",") if tok.strip())
+        primes = frozenset(int(tok) for tok in ns.exclude.split(",") if tok.strip())
     except ValueError:
-        raise ValueError(f"--exclude must be comma-separated integers, not {text!r}") from None
-    for s in sorted(primes):
-        if not is_prime(s):
-            raise ValueError(f"excluded entry {s} is not prime")
+        raise ValueError(f"--exclude must be comma-separated integers, not {ns.exclude!r}") from None
+    if not (ns.subcommand == "fit" or ns.action in ("counts", "census")):
+        check_excluded(primes)
     return primes
 
 
@@ -87,7 +88,7 @@ def _domain_args(ns: argparse.Namespace) -> tuple[frozenset[int], str, int]:
     """A PrimePowerDomain's arguments from --exclude, --primes-only and --limit, validated."""
     if ns.limit < 2:
         raise ValueError(f"--limit must be at least 2, not {ns.limit}")
-    return _excluded(ns.exclude), "primes_only" if ns.primes_only else "prime_powers", ns.limit
+    return _excluded(ns), "primes_only" if ns.primes_only else "prime_powers", ns.limit
 
 
 def _parse_spec(spec: str, heads) -> tuple[str, dict[str, str]]:
@@ -241,7 +242,7 @@ def _run_family(ns: argparse.Namespace) -> int:
 
 
 def _run_curve(ns: argparse.Namespace) -> int:
-    excluded = _excluded(ns.exclude)
+    excluded = _excluded(ns)
     m, xmax = _positive("--m", ns.m), _positive("--xmax", ns.xmax)
     if ns.action in ("count", "classify") and ns.p is None:
         raise ValueError(f"curve {ns.action} needs --p")

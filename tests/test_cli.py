@@ -2,13 +2,14 @@ import argparse
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
-from azw import cli, fit, monoid
+from azw import arith, cli, fit, monoid
 from azw.arith import PrimePowerDomain
 from azw.puiseux import format_puiseux, parse_puiseux
 from azw.zeta import parse_product
@@ -383,6 +384,35 @@ def test_monoid_bad_exclude_prints_nothing(tmp_path, capsys):
     code, out, err = run_cli(capsys, "monoid", "envelopes", "--in", str(path), "--exclude", "4")
     assert code == 1 and out == ""
     assert err == "error: excluded entry 4 is not prime\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("curve", "census", "--a", "1", "--b", "0", "--xmax", "100"),
+        ("curve", "count", "--a", "1", "--b", "0", "--p", "11"),
+        ("family", "An:n=3", "counts", "--limit", "50"),
+        ("family", "An:n=3", "envelopes"),
+        ("fit", "verify", "--source", "curve:a=1,b=0", "--candidate", "t + 2t^{1/2} + 1", "--limit", "50"),
+    ],
+    ids=["curve-census", "curve-count", "family-counts", "family-envelopes", "fit-verify"],
+)
+def test_each_excluded_entry_is_tested_for_primality_once(capsys, monkeypatch, argv):
+    tested = []
+
+    def counted(n, f=arith.is_prime):
+        tested.append(n)
+        return f(n)
+
+    for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "azw"]:
+        if hasattr(module, "is_prime"):  # every module that imported it by name
+            monkeypatch.setattr(module, "is_prime", counted)
+    code, _, err = run_cli(capsys, *argv, "--exclude", "13,5,7")
+    assert code != 1 and err == ""
+    assert sorted(n for n in tested if n in (5, 7, 13)) == [5, 7, 13]
+    # a census refuses a composite entry itself, as a domain does
+    code, out, err = run_cli(capsys, *argv, "--exclude", "5,9")
+    assert (code, out, err) == (1, "", "error: excluded entry 9 is not prime\n")
 
 
 @pytest.mark.parametrize("text", ['{"r": 1.7}', '{"r": true}', '{"r": 1e400}', '{"r": 1, "torsion": [2.0]}'])

@@ -172,8 +172,11 @@ def test_classify_examples():
 
 def test_classify_trichotomy():
     for curve in elliptic.FIXTURE_CURVES:
-        for p, ap, cls in elliptic.census(curve, 3000).rows:
-            assert (ap, cls) == (curve.trace(p), elliptic.classify_prime(curve, p))
+        rows = elliptic.census(curve, 3000).rows
+        # each trace again alone, and classify_prime on a second batch's table
+        table = elliptic.TraceTable.of(curve, [p for p, _, _ in rows])
+        for p, ap, cls in rows:
+            assert (ap, cls) == (curve.trace(p), elliptic.classify_prime(table, p))
             bound = isqrt(4 * p)
             assert bound > 0
             matches = [
@@ -410,6 +413,63 @@ def test_bsgs_only_the_twist_decides(monkeypatch):
     assert elliptic._trace_bsgs(a, b, [p, 3533]) == [None, elliptic._trace_char_sum(a, b, 3533)]
 
 
+def trace_cm(a, b, p):
+    """a_p of y^2 = x^3 + ax (b = 0) or y^2 = x^3 + b (a = 0) at one good p:
+    the closed form of elliptic._traces_cm, one prime at a time in Python
+    integers, kept as the kernel's reference where no character sum can run.
+
+    j = 1728: a_p = 0 for p = 3 mod 4, else 2 Re(conj(chi) pi) with pi
+    = x + yi primary and chi = (-a/pi)_4; j = 0: a_p = 0 for p = 2 mod 3,
+    else -Tr(conj(chi) pi) with pi = u + vw primary and chi = (4b/pi)_6.
+    """
+    if b == 0:
+        if p % 4 == 3:
+            return 0
+        r = root_of_unity(p, 4)
+        x, y = cornacchia(p, 1, r)
+        if x % 2 == 0:
+            x, y = y, x
+        if (x + y) % 4 != 1:
+            x, y = -x, -y
+        i = r if (x + y * r) % p == 0 else p - r
+        traces = {1: 2 * x, i: 2 * y, p - 1: -2 * x, p - i: -2 * y}
+        s = pow(-a, (p - 1) // 4, p)
+    else:
+        if p % 3 == 2:
+            return 0
+        r = root_of_unity(p, 3)
+        x, y = cornacchia(p, 3, 2 * r + 1)
+        u, v = x + y, 2 * y
+        while v % 3:
+            u, v = -v, u - v
+        if u % 3 == 1:
+            u, v = -u, -v
+        w = r if (u + v * r) % p == 0 else p - 1 - r
+        w2 = w * w % p
+        traces = {1: v - 2 * u, w: u - 2 * v, w2: u + v}
+        traces.update({p - z: -t for z, t in list(traces.items())})
+        s = pow(4 * b, (p - 1) // 6, p)
+    return traces[s]
+
+
+def root_of_unity(p, k):
+    """g^((p-1)/k) for the first g = 2, 3, ... of order k (3 or 4) mod p."""
+    for g in range(2, p):
+        r = pow(g, (p - 1) // k, p)
+        if r != 1 and (k == 3 or r * r % p == p - 1):
+            return r
+
+
+def cornacchia(p, d, r):
+    """(x, y) with x^2 + d y^2 = p, from a root r of -d mod p (Cohen, 1.5.2)."""
+    prev, x = p, r
+    while x * x > p:
+        prev, x = x, prev % x
+    y = isqrt((p - x * x) // d)
+    assert x * x + d * y * y == p
+    return x, y
+
+
 # b = 0 with these a, and a = 0 with these b, give every quartic and every
 # sextic residue symbol below 5000 (checked by test_cm_trace_equals_char_sum)
 CM_CURVES = [(a, 0) for a in (1, -1, 2, -2, 3, -3, 4, -4, 5, -7)] + [
@@ -421,7 +481,7 @@ def cm_case(a, b, p, t):
     """The index of t among the values a_p may take by the closed form: for
     b = 0, 2 Re(u pi) over the units u = 1, -i, -1, i; for a = 0,
     -Tr(u pi) over u = 1, w^2, w, -1, -w^2, -w.  The primary pi is found
-    by search over the representations of p, apart from _trace_cm."""
+    by search over the representations of p, apart from the closed form."""
     n = isqrt(4 * p)
     if b == 0:
         x, y = next(
@@ -444,12 +504,11 @@ def cm_case(a, b, p, t):
 def test_cm_trace_equals_char_sum():
     cases = {4: set(), 6: set()}  # units hit, for j = 1728 and j = 0
     for a, b in CM_CURVES:
-        curve = EllipticCurve(a, b)
-        for p in sieve(5000):
-            if p in curve.bad_primes:
-                continue
-            t = elliptic._trace_char_sum(a, b, p)
-            assert elliptic._trace_cm(a, b, p) == t, (a, b, p)
+        bad = EllipticCurve(a, b).bad_primes
+        primes = [p for p in sieve(5000) if p not in bad]
+        traces = elliptic._traces_cm(a, b, primes)  # one batch per curve
+        assert traces == [elliptic._trace_char_sum(a, b, p) for p in primes], (a, b)
+        for p, t in zip(primes, traces):
             if t:
                 cases[4 if b == 0 else 6].add(cm_case(a, b, p, t))
     assert cases == {4: set(range(4)), 6: set(range(6))}
@@ -459,21 +518,76 @@ def test_cm_trace_equals_bsgs_near_a_million():
     primes = [p for p in range(10**6, 10**6 + 400) if is_prime(p)][:20]
     assert len(primes) == 20
     for a, b in CM_CURVES:
-        assert [elliptic._trace_cm(a, b, p) for p in primes] == elliptic._trace_bsgs(a, b, primes), (a, b)
+        expected = [trace_cm(a, b, p) for p in primes]
+        assert elliptic._traces_cm(a, b, primes) == expected == elliptic._trace_bsgs(a, b, primes), (a, b)
 
 
-@given(st.booleans(), st.integers(-10**6, 10**6), st.integers(5, 2 * 10**5))
-def test_cm_trace_equals_char_sum_on_random_curves(j0, c, n):
+@given(
+    st.booleans(),
+    st.integers(-10**6, 10**6),
+    st.lists(st.integers(5, 2 * 10**5), min_size=1, max_size=8),
+)
+def test_cm_trace_equals_char_sum_on_random_curves(j0, c, starts):
+    # one batch of mixed primes, repeats allowed
     assume(c != 0)
     a, b = (0, c) if j0 else (c, 0)
-    p = next(q for q in range(n, 2 * n) if is_prime(q))
-    assume(p <= 2 * 10**5 and p not in EllipticCurve(a, b).bad_primes)
-    assert elliptic._trace_cm(a, b, p) == elliptic._trace_char_sum(a, b, p)
+    bad = EllipticCurve(a, b).bad_primes
+    primes = [next(q for q in range(n, 2 * n) if is_prime(q)) for n in starts]
+    primes = [p for p in primes if p not in bad]
+    expected = [elliptic._trace_char_sum(a, b, p) for p in primes]
+    assert elliptic._traces_cm(a, b, primes) == expected == [trace_cm(a, b, p) for p in primes]
+
+
+def test_cm_traces_straddle_2_31():
+    # one batch across 2^31 runs on Python ints: the primes just below 2^31
+    # and 2147483713, which is 1 mod 4 and 1 mod 3, so no lane is 0 by rule
+    below = [p for p in range(2**31 - 400, 2**31) if is_prime(p)][-6:]
+    primes = below + [2147483713]
+    assert is_prime(2147483713) and 2147483713 % 12 == 1
+    assert {p % 12 for p in below} >= {1, 7, 11}  # both rules give 0 and not 0
+    for a, b in CM_CURVES:
+        traces = elliptic._traces_cm(a, b, primes)
+        assert traces == [trace_cm(a, b, p) for p in primes], (a, b)
+        assert traces[:-1] == elliptic._traces_cm(a, b, below)  # the int64 lanes
+    # the pinned counts of the CLI's CI step
+    assert elliptic.count_fp(EllipticCurve(1, 0), 2147483713) == 2147488768
+    assert elliptic.count_fp(EllipticCurve(0, 1), 2147483713) == 2147529072
+
+
+def test_cm_traces_of_no_prime_and_of_no_live_lane():
+    assert elliptic._traces_cm(-1, 0, []) == elliptic._traces_cm(0, 1, []) == []
+    assert elliptic._traces(-1, 0, []) == []
+    primes = [p for p in sieve(5000) if p % 4 == 3]  # every lane supersingular for j = 1728
+    assert elliptic._traces_cm(-1, 0, primes) == [0] * len(primes)
+    primes = [p for p in sieve(5000) if p % 3 == 2 and p > 2]
+    assert elliptic._traces_cm(0, 1, primes) == [0] * len(primes)
+
+
+def test_cm_lane_blocks_do_not_change_the_traces(monkeypatch):
+    for a, b in ((-1, 0), (0, 1)):
+        primes = [p for p in sieve(20000) if p > 3]
+        traces = elliptic._traces_cm(a, b, primes)
+        with monkeypatch.context() as m:
+            m.setattr(elliptic, "CM_BLOCK_LANES", 7)
+            assert elliptic._traces_cm(a, b, primes) == traces
+
+
+def test_cm_kernel_checks_raise():
+    # at a prime that divides the coefficient the symbol is 0, no root of unity
+    with pytest.raises(RuntimeError, match="residue symbol 0 is no root of unity at p=5"):
+        elliptic._traces_cm(5, 0, [13, 5])
+    with pytest.raises(RuntimeError, match="residue symbol 0 is no root of unity at p=7"):
+        elliptic._traces_cm(0, 7, [13, 7])
+    # no g^6 mod 25 has order 4, so the search gives up at g = 25
+    with pytest.raises(RuntimeError, match="no root of unity of order 4 mod 25"):
+        elliptic._traces_cm(-1, 0, [13, 25])
+    with pytest.raises(RuntimeError, match="Cornacchia found no x\\^2 \\+ 1y\\^2 = 17"):
+        elliptic._cornacchia(np.array([13, 17]), 1, np.array([5, 3]))  # 3^2 != -1 mod 17
 
 
 def test_trace_dispatch(monkeypatch):
     calls = []
-    for name in ("_trace_cm", "_trace_bsgs", "_trace_char_sum"):
+    for name in ("_traces_cm", "_trace_bsgs", "_trace_char_sum"):
         original = getattr(elliptic, name)
         monkeypatch.setattr(
             elliptic, name, lambda a, b, p, f=original, n=name: calls.append((n, p)) or f(a, b, p)
@@ -481,8 +595,8 @@ def test_trace_dispatch(monkeypatch):
     below = sieve(elliptic.BSGS_MIN_P)[-1]  # the primes on either side of the crossover
     above = next(p for p in range(elliptic.BSGS_MIN_P + 1, 2 * elliptic.BSGS_MIN_P) if is_prime(p))
     for (a, b), primes, paths in (
-        ((0, 7), [11, 10007], [("_trace_cm", 11), ("_trace_cm", 10007)]),
-        ((3, 0), [10007], [("_trace_cm", 10007)]),
+        ((0, 7), [11, 10007], [("_traces_cm", [11, 10007])]),
+        ((3, 0), [10007], [("_traces_cm", [10007])]),
         ((-1, 1), [101, below], [("_trace_char_sum", 101), ("_trace_char_sum", below)]),
         # every prime above the crossover in one batch, the rest one by one
         (
