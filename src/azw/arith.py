@@ -143,14 +143,16 @@ class PrimePowerDomain:
     kind 'prime_powers' holds {p^m <= limit : p prime not in excluded},
     'primes_only' the primes themselves, and 'naturals_from_2' all integers
     2..limit (excluded must then be empty).  `points` lists them strictly
-    increasing in q with no duplicates; it is computed once, when the
-    domain is built, so callers share one enumeration by sharing the domain.
+    increasing in q with no duplicates, and `qs` holds their q as one int64
+    array; both are computed once, when the domain is built, so callers
+    share one enumeration by sharing the domain.
     """
 
     excluded: frozenset[int] = frozenset()
     kind: str = "prime_powers"
     limit: int = 10000
     points: tuple[DomainPoint, ...] = field(init=False, repr=False, compare=False)
+    qs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("prime_powers", "primes_only", "naturals_from_2"):
@@ -175,6 +177,7 @@ class PrimePowerDomain:
                     m += 1
             points.sort()
         object.__setattr__(self, "points", tuple(points))
+        object.__setattr__(self, "qs", np.array([pt.q for pt in points], dtype=np.int64))
 
 
 # --- small explicit fields, used only as counting oracles ---------------

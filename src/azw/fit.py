@@ -44,21 +44,26 @@ MAX_CANDIDATES = 10**6
 class SequenceSource:
     """Deterministic integer sequence over a count domain.
 
-    fn maps a DomainPoint to the count A_q.  The (point, count) list is
-    computed once, over the domain's points, when the source is built, so
-    that many candidates can be checked against one sweep.
+    fn maps a DomainPoint to the count A_q.  The counts are computed once,
+    over the domain's points, when the source is built, and held as one
+    array (int64, or Python ints when some |A_q| reaches 2^62) with their
+    bound max |A_q|, so that many candidates can be checked against one sweep.
     """
 
     label: str
     domain: PrimePowerDomain
     fn: Callable[[DomainPoint], int]
-    points: list[tuple[DomainPoint, int]] = field(init=False, repr=False, compare=False)
+    counts: np.ndarray = field(init=False, repr=False, compare=False)
+    bound: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "points", [(pt, self.fn(pt)) for pt in self.domain.points])
+        counts = [self.fn(pt) for pt in self.domain.points]
+        bound = max(map(abs, counts), default=0)
+        object.__setattr__(self, "counts", np.array(counts, dtype=np.int64 if bound < 2**62 else object))
+        object.__setattr__(self, "bound", bound)
 
     def values(self) -> list[tuple[DomainPoint, int]]:
-        return self.points
+        return list(zip(self.domain.points, self.counts.tolist()))
 
 
 @dataclass(frozen=True)
@@ -128,21 +133,24 @@ def _verdict(
 
 
 def _offset_dtype(
-    counts: list[int], q_max: int, coeff_lo: int, coeff_hi: int, degree: int, scale: int = 1, odd=()
+    bound: int, q_max: int, coeff_lo: int, coeff_hi: int, degree: int, scale: int = 1, odd=()
 ):
-    """int64 when no offset scale*A_q - rest(q), and no partial sum of one,
-    can reach 2^62, nor P(q)^2 q for P(t) = sum_k odd[k] t^k (whose root, below
-    2^31, keeps every offset below 2^63); otherwise object (Python ints)."""
+    """int64 when no offset scale*A_q - rest(q) with |A_q| <= bound, and no
+    partial sum of one, can reach 2^62, nor P(q)^2 q for P(t) = sum_k odd[k]
+    t^k (whose root, below 2^31, keeps every offset below 2^63); otherwise
+    object (Python ints)."""
     reach = max(abs(coeff_lo), abs(coeff_hi)) * sum(q_max**k for k in range(1, degree + 1))
     square = sum(abs(a) * q_max**k for k, a in enumerate(odd)) ** 2 * q_max
-    return np.int64 if max(scale * max(map(abs, counts), default=0) + reach, square) < 2**62 else object
+    return np.int64 if max(scale * bound + reach, square) < 2**62 else object
 
 
 def _roots(qs: np.ndarray, odd) -> np.ndarray:
     """floor(y) + ceil(y) for y = P(q) sqrt(q), P(t) = sum_k odd[k] t^k: 2y at
     integer y, odd where y, and so f(q), is irrational and cannot equal a count.
     floor(|y|) = isqrt(P(q)^2 q); in int64, a float sqrt corrected by one."""
-    p = sum(a * qs**k for k, a in enumerate(odd))
+    p = odd[-1]
+    for a in reversed(odd[:-1]):  # Horner; one odd coefficient leaves p an int
+        p = p * qs + a
     square = p * p * qs
     if qs.dtype == object:
         root = np.array([math.isqrt(v) for v in square.tolist()], dtype=object)
@@ -157,16 +165,15 @@ def _roots(qs: np.ndarray, odd) -> np.ndarray:
 def _offsets(src: SequenceSource, higher, scale: int = 1, odd=()) -> np.ndarray:
     """The rows scale*A_q - sum_k h_k q^k over the points of src, one for each
     row (h_1, ..., h_degree) of the 2-d `higher`, less _roots(q, odd)."""
-    points = src.values()
-    counts = [count for _, count in points]
-    qs = [pt.q for pt, _ in points]
+    qs = src.domain.qs
     degree = np.shape(higher)[1]
     h_max = max(map(abs, np.ravel(higher).tolist()), default=0)
-    dtype = _offset_dtype(counts, max(qs, default=0), -h_max, h_max, degree, scale, odd)
-    qs = np.array(qs, dtype=dtype)
+    # q_max is 1 on an empty domain, so that a coefficient past int64 takes the object path
+    dtype = _offset_dtype(src.bound, int(qs.max(initial=1)), -h_max, h_max, degree, scale, odd)
+    qs = qs.astype(dtype, copy=False)
     powers = qs ** np.arange(1, degree + 1)[:, None]  # row k - 1: q^k
     offsets = np.array(higher, dtype=dtype) @ -powers
-    offsets += np.array(counts, dtype=dtype) * scale
+    offsets += src.counts.astype(dtype, copy=False) * scale
     if odd:
         offsets -= _roots(qs, odd)
     return offsets
@@ -190,13 +197,13 @@ def _decide(
     window = scale if puiseux_mode else 1
     head = offsets[:stop]
     hits = head > c - window if mode == "ceiling" else head < c + window
-    points = src.values()
-    witnesses = [points[i][0].q for i in np.flatnonzero(hits).tolist()]
+    qs = src.domain.qs
+    witnesses = qs[:stop][hits].tolist()
     violation = None
-    if stop < len(points):
-        pt, count = points[stop]
+    if stop < len(offsets):
+        count = int(src.counts[stop])
         value = Fraction(scale * count - int(offsets[stop]) + c, scale)
-        violation = Violation(pt.q, count, str(value))
+        violation = Violation(int(qs[stop]), count, str(value))
     return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
 
 
@@ -230,8 +237,7 @@ def _scan(
     ceiling = mode == "ceiling"
     rounded, other = (f.floor_eval, f.ceil_eval) if ceiling else (f.ceil_eval, f.floor_eval)
     witnesses: list[int] = []
-    for pt, count in src.values():
-        n = pt.q
+    for n, count in zip(src.domain.qs.tolist(), src.counts.tolist()):
         r = rounded(n)
         if count > r if ceiling else count < r:  # the bound fails at n
             violation = Violation(n, count, _interval(f, n))
@@ -359,7 +365,7 @@ def search_polynomial(
     width = coeff_hi - coeff_lo + 1
     constants = np.arange(coeff_lo, coeff_hi + 1)
     tuples = width**degree
-    block = max(1, SEARCH_BLOCK_ENTRIES // max(len(src.values()), width, 1))
+    block = max(1, SEARCH_BLOCK_ENTRIES // max(len(src.counts), width, 1))
     ceilings: list[tuple[int, ...]] = []
     floors: list[tuple[int, ...]] = []
     for start in range(0, tuples, block):

@@ -210,6 +210,40 @@ def test_rational_candidate_puiseux_verdict_is_pinned(capsys):
     )
 
 
+@pytest.mark.parametrize(
+    "argv, code, out",
+    [
+        (
+            "verify --source An:n=3 --candidate t --limit 2 --exclude 2", 3,
+            "ceiling candidate on #A3(F_q): insufficient_witnesses (witnesses 0/3, limit 2, excluded {2})\n",
+        ),
+        (
+            "search --source An:n=3 --degree 1 --box=-1:1 --limit 2 --exclude 2", 0,
+            "tested 9 candidates to limit 2\nceiling: none\nfloor: none\n",
+        ),
+        (
+            "reject-linear --source An:n=3 --limit 2 --exclude 2 --c-from 0 --c-to 1", 0,
+            "c=0: ceiling insufficient_witnesses; floor insufficient_witnesses\n"
+            "c=1: ceiling insufficient_witnesses; floor insufficient_witnesses\n",
+        ),
+    ],
+    ids=["verify", "search", "reject-linear"],
+)
+def test_fit_on_an_empty_domain(capsys, argv, code, out):
+    # limit 2 without the prime 2 leaves no point: every verdict lacks witnesses
+    assert run_cli(capsys, "fit", *argv.split()) == (code, out, "")
+
+
+def test_fit_search_output_is_pinned(capsys):
+    code, out, _ = run_cli(
+        capsys, "fit", "search", "--source", "An:n=3", "--degree", "1", "--box=-5:5", "--limit", "2000",
+    )
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "f82ef1023f328c4afad9244a2496b6f03598728490f73f56ed6edf47d034c449"
+    )
+
+
 def test_fit_box_help_names_the_form_that_parses(capsys):
     with pytest.raises(SystemExit):
         cli.main(["fit", "--help"])

@@ -221,8 +221,8 @@ def test_sequence_source_counts_once_when_built():
     dom = PrimePowerDomain(frozenset(), "prime_powers", 50)
     src = fit.SequenceSource("probe", dom, lambda pt: calls.append(pt.q) or pt.q)
     assert calls == [pt.q for pt in dom.points]  # every point, at construction
-    assert src.values() is src.values()
-    assert len(calls) == len(src.values())
+    assert src.values() == src.values() == list(zip(dom.points, calls))
+    assert len(calls) == len(src.values())  # values() reads the held counts, calling fn no more
 
 
 def test_sources_check_primes_once_and_batch_their_traces(monkeypatch):
@@ -350,11 +350,20 @@ def assert_same_reports(got, want):
         assert g.floor.summary() == w.floor.summary()
 
 
+# a count lifted by 2^62 - 1 reaches 2^62 exactly when it was >= 1 (and by
+# 1 - 2^62, -2^62 when it was <= -1): small counts of both signs straddle
+# the int64 bound of the held counts
+LIFTS = (0, 2**62 - 1, 1 - 2**62)
+
+
 @st.composite
-def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2"), coeffs=None, noise=2):
+def integer_sources(
+    draw, kinds=("prime_powers", "primes_only", "naturals_from_2"), coeffs=None, noise=2, lift=None
+):
     """The floor of a polynomial (small integer coefficients unless `coeffs`
     are given) plus per-point noise in [-noise, noise], so that envelopes in
-    small boxes both exist and fail."""
+    small boxes both exist and fail.  The counts from a drawn point on are
+    lifted by a drawn value of LIFTS, or from the first point on by `lift`."""
     kind = draw(st.sampled_from(kinds))
     excluded = frozenset() if kind == "naturals_from_2" else draw(st.sets(st.sampled_from([2, 3, 5])))
     dom = PrimePowerDomain(excluded, kind, draw(st.integers(2, 60)))
@@ -362,8 +371,34 @@ def integer_sources(draw, kinds=("prime_powers", "primes_only", "naturals_from_2
     if coeffs is None:
         coeffs = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4))
     errors = draw(st.lists(st.integers(-noise, noise), min_size=len(qs), max_size=len(qs)))
-    counts = {q: math.floor(sum(c * q**k for k, c in enumerate(coeffs))) + e for q, e in zip(qs, errors)}
+    start = 0 if lift is not None else draw(st.integers(0, len(qs)))
+    lift = draw(st.sampled_from(LIFTS)) if lift is None else lift
+    counts = {
+        q: math.floor(sum(c * q**k for k, c in enumerate(coeffs))) + e + lift * (i >= start)
+        for i, (q, e) in enumerate(zip(qs, errors))
+    }
     return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q])
+
+
+@given(integer_sources())
+def test_held_arrays_are_the_values(src):
+    points = src.values()
+    assert src.domain.qs.dtype == np.int64 and src.domain.qs.tolist() == [pt.q for pt, _ in points]
+    assert [pt for pt, _ in points] == list(src.domain.points)
+    assert src.counts.tolist() == [count for _, count in points] == [src.fn(pt) for pt in src.domain.points]
+    assert src.bound == max((abs(count) for _, count in points), default=0)
+    assert src.counts.dtype == (np.int64 if src.bound < 2**62 else object)
+
+
+@pytest.mark.parametrize("kind", ["prime_powers", "primes_only"])
+def test_an_empty_domain_holds_int64_arrays(kind):
+    src = fit.SequenceSource("empty", PrimePowerDomain(frozenset({2}), kind, 2), lambda pt: 2**70)
+    assert src.values() == [] and src.bound == 0
+    assert src.domain.qs.dtype == src.counts.dtype == np.int64
+    assert fit._offsets(src, [[1]], 2, [1]).shape == (1, 0)
+    # no point bounds the offsets' size: a coefficient past int64 takes the object path
+    for f in (parse_puiseux(f"{2**70}t"), parse_puiseux(f"t + {2**70}t^{{1/2}}")):
+        assert fit.verify_ceiling(f, src, 3).status == INSUFFICIENT_WITNESSES
 
 
 @given(
@@ -405,10 +440,12 @@ def sources_and_candidates(draw):
     and puiseux-mode witnesses of a fractional f, occur."""
     den = draw(st.integers(1, 4))
     nums = draw(st.lists(st.integers(-3 * den, 3 * den), min_size=1, max_size=4))
-    src = draw(integer_sources(coeffs=[Fraction(n, den) for n in nums], noise=1))
+    lift = draw(st.sampled_from(LIFTS))  # the candidate moves with the counts
+    src = draw(integer_sources(coeffs=[Fraction(n, den) for n in nums], noise=1, lift=lift))
     k, e = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
     m = k * den - sum(nums) % den + e  # f(1) = (sum(nums) + m)/L is an integer unless e = 1 < L
-    return src, PuiseuxPoly([(Fraction(n, den), k) for k, n in enumerate(nums)] + [(Fraction(m, den), 0)])
+    terms = [(Fraction(n, den), k) for k, n in enumerate(nums)] + [(Fraction(m, den) + lift, 0)]
+    return src, PuiseuxPoly(terms)
 
 
 @given(
@@ -456,7 +493,8 @@ def half_integer_sources_and_candidates(draw):
     with integer a_e of both signs, a_1 or a_3 nonzero and L in 1..4, on a
     prime-power domain (so that the squares p^2, p^4, where g is rational,
     occur), and the candidate g + m/L: near enough to the counts that exact
-    witnesses, puiseux-mode witnesses and violations all occur."""
+    witnesses, puiseux-mode witnesses and violations all occur.  Counts and
+    candidate are lifted together by a drawn value of LIFTS."""
     den = draw(st.integers(1, 4))
     nums = draw(
         st.lists(st.integers(-3 * den, 3 * den), min_size=4, max_size=4).filter(lambda a: a[1] or a[3])
@@ -465,10 +503,12 @@ def half_integer_sources_and_candidates(draw):
     kind = draw(st.sampled_from(["prime_powers", "primes_only"]))
     dom = PrimePowerDomain(draw(st.sets(st.sampled_from([2, 3, 5]))), kind, draw(st.integers(2, 300)))
     errors = draw(st.lists(st.integers(-1, 1), min_size=len(dom.points), max_size=len(dom.points)))
-    counts = {pt.q: g.floor_eval(pt.q) + e for pt, e in zip(dom.points, errors)}
+    lift = draw(st.sampled_from(LIFTS))
+    counts = {pt.q: g.floor_eval(pt.q) + e + lift for pt, e in zip(dom.points, errors)}
     k, e = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
     m = k * den - sum(nums) % den + e  # f(1) is an integer unless e = 1 < L
-    return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q]), g + PuiseuxPoly.constant(Fraction(m, den))
+    f = g + PuiseuxPoly.constant(Fraction(m, den) + lift)
+    return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q]), f
 
 
 @given(
@@ -588,7 +628,7 @@ def test_search_at_the_int64_bound(big, dtype):
         "q + 1 but one", PrimePowerDomain(frozenset(), "prime_powers", 10),
         lambda pt: big if pt.q == 7 else pt.q + 1,
     )
-    assert fit._offset_dtype([count for _, count in src.values()], 9, -1, 1, 1) is dtype
+    assert fit._offset_dtype(src.bound, 9, -1, 1, 1) is dtype
     rep = fit.search_polynomial(src, 1, -1, 1, 3)
     assert rep.ceiling == ()
     assert rep.floor == (parse_puiseux("t + 1"),)
