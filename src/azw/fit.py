@@ -11,14 +11,18 @@ decided exactly from the offsets D_q = L*A_q - rest(q) by _decide, and one
 with exponent denominator 2 from such offsets less one exact integer square
 root per point (_roots).  Only exponent denominators >= 3 are scanned point
 by point, through the certified floor/ceil of the puiseux module: an integer
-A <= f(n) iff A <= floor(f(n)).
+A <= f(n) iff A <= floor(f(n)).  The offsets hold one power of q for each
+nonzero term of f, and a candidate whose top term is too large to write
+down at the domain's largest q (MAX_TERM_BITS) is refused.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from itertools import accumulate
 from typing import Callable, Optional
 
 import numpy as np
@@ -38,6 +42,11 @@ SEARCH_BLOCK_ENTRIES = 1 << 18
 
 # Most candidates one search_polynomial box or reject_linear_family range holds.
 MAX_CANDIDATES = 10**6
+
+# Most bits a verified candidate's top term t^e may take at the domain's largest
+# q, counted as e * bit_length(q); a larger term is refused, since every offset
+# would be a number of that size.
+MAX_TERM_BITS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -132,47 +141,48 @@ def _verdict(
     )
 
 
-def _offset_dtype(
-    bound: int, q_max: int, coeff_lo: int, coeff_hi: int, degree: int, scale: int = 1, odd=()
-):
-    """int64 when no offset scale*A_q - rest(q) with |A_q| <= bound, and no
-    partial sum of one, can reach 2^62, nor P(q)^2 q for P(t) = sum_k odd[k]
-    t^k (whose root, below 2^31, keeps every offset below 2^63); otherwise
-    object (Python ints)."""
-    reach = max(abs(coeff_lo), abs(coeff_hi)) * sum(q_max**k for k in range(1, degree + 1))
-    square = sum(abs(a) * q_max**k for k, a in enumerate(odd)) ** 2 * q_max
+def _offset_dtype(bound: int, q_max: int, h_max: int, exponents, scale: int = 1, odd=()):
+    """int64 when no offset scale*A_q - sum_i h_i q^(k_i) with |A_q| <= bound,
+    |h_i| <= h_max and k_i in exponents, and no partial sum of one, can reach
+    2^62, nor P(q)^2 q for P(t) = sum a t^k over the pairs (a, k) of odd (whose
+    root, below 2^31, keeps every offset below 2^63); otherwise object (Python
+    ints)."""
+    reach = h_max * sum(q_max**k for k in exponents)
+    square = sum(abs(a) * q_max**k for a, k in odd) ** 2 * q_max
     return np.int64 if max(scale * bound + reach, square) < 2**62 else object
 
 
 def _roots(qs: np.ndarray, odd) -> np.ndarray:
-    """floor(y) + ceil(y) for y = P(q) sqrt(q), P(t) = sum_k odd[k] t^k: 2y at
-    integer y, odd where y, and so f(q), is irrational and cannot equal a count.
-    floor(|y|) = isqrt(P(q)^2 q); in int64, a float sqrt corrected by one."""
-    p = odd[-1]
-    for a in reversed(odd[:-1]):  # Horner; one odd coefficient leaves p an int
-        p = p * qs + a
+    """floor(y) + ceil(y) for y = P(q) sqrt(q), P(t) = sum a t^k over the
+    pairs (a, k) of odd: 2y at integer y, odd where y, and so f(q), is
+    irrational and cannot equal a count.  floor(|y|) = isqrt(P(q)^2 q); in
+    int64, a float sqrt, corrected by one at and above 2^52."""
+    p = sum(a * qs**k if k else a for a, k in odd)  # a constant P stays an int
     square = p * p * qs
     if qs.dtype == object:
         root = np.array([math.isqrt(v) for v in square.tolist()], dtype=object)
     else:
         root = np.sqrt(square.astype(np.float64)).astype(np.int64)
-        root -= root * root > square
-        root += (root + 1) * (root + 1) <= square
+        # below 2^52 the square is exact in a float and its rounded sqrt
+        # stays under the next integer root, so it floors to isqrt already
+        if square.max(initial=0) >= 2**52:
+            root -= root * root > square
+            root += (root + 1) * (root + 1) <= square
     both = 2 * root + (root * root != square).astype(qs.dtype)
     return np.where(p < 0, -both, both)
 
 
-def _offsets(src: SequenceSource, higher, scale: int = 1, odd=()) -> np.ndarray:
-    """The rows scale*A_q - sum_k h_k q^k over the points of src, one for each
-    row (h_1, ..., h_degree) of the 2-d `higher`, less _roots(q, odd)."""
+def _offsets(src: SequenceSource, exponents, rows, scale: int = 1, odd=()) -> np.ndarray:
+    """The rows scale*A_q - sum_i h_i q^(k_i) over the points of src, one for
+    each row (h_1, h_2, ...) of the 2-d `rows`, k_i the i-th of `exponents`,
+    less _roots(q, odd)."""
     qs = src.domain.qs
-    degree = np.shape(higher)[1]
-    h_max = max(map(abs, np.ravel(higher).tolist()), default=0)
+    h_max = max(map(abs, np.ravel(rows).tolist()), default=0)
     # q_max is 1 on an empty domain, so that a coefficient past int64 takes the object path
-    dtype = _offset_dtype(src.bound, int(qs.max(initial=1)), -h_max, h_max, degree, scale, odd)
+    dtype = _offset_dtype(src.bound, int(qs.max(initial=1)), h_max, exponents, scale, odd)
     qs = qs.astype(dtype, copy=False)
-    powers = qs ** np.arange(1, degree + 1)[:, None]  # row k - 1: q^k
-    offsets = np.array(higher, dtype=dtype) @ -powers
+    powers = qs ** np.array(exponents, dtype=np.int64)[:, None]  # row i: q^(k_i)
+    offsets = np.array(rows, dtype=dtype) @ -powers
     offsets += src.counts.astype(dtype, copy=False) * scale
     if odd:
         offsets -= _roots(qs, odd)
@@ -187,11 +197,14 @@ def _decide(
     c: int,
     scale: int,
     puiseux_mode: bool,
+    certified: Optional[PuiseuxPoly] = None,
 ) -> Verdict:
     """The verdict for f = (c + rest)/scale from the offsets
     D_q = scale*A_q - rest(q) of src's points.  The bound fails at the first
     D_q > c (ceiling) or D_q < c (floor); before it a witness is D_q = c, or
-    in puiseux mode c - scale < D_q (ceiling) or D_q < c + scale (floor)."""
+    in puiseux mode c - scale < D_q (ceiling) or D_q < c + scale (floor).
+    A violation gives f's exact value, or the certified interval of
+    `certified` at its point."""
     fails = offsets > c if mode == "ceiling" else offsets < c
     stop = int(fails.argmax()) if fails.any() else len(offsets)
     window = scale if puiseux_mode else 1
@@ -201,9 +214,12 @@ def _decide(
     witnesses = qs[:stop][hits].tolist()
     violation = None
     if stop < len(offsets):
-        count = int(src.counts[stop])
-        value = Fraction(scale * count - int(offsets[stop]) + c, scale)
-        violation = Violation(int(qs[stop]), count, str(value))
+        n, count = int(qs[stop]), int(src.counts[stop])
+        if certified is None:
+            value = str(Fraction(scale * count - int(offsets[stop]) + c, scale))
+        else:
+            value = _interval(certified, n)
+        violation = Violation(n, count, value)
     return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
 
 
@@ -217,21 +233,22 @@ def _scan(
     if puiseux_mode and not f.value_at_one()[1]:
         verdict = _verdict(src, mode, witness_threshold, puiseux_mode=True)
         return replace(verdict, status=NON_INTEGRAL_AT_ONE)
-    d, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^(n/d)
-    coeffs = {n: a for a, n in terms}
+    d, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^(n/d), n descending
+    q_max = int(src.domain.qs.max(initial=1))
+    if top * q_max.bit_length() > d * MAX_TERM_BITS:
+        e = f.terms[0][1]
+        raise ValueError(f"candidate term t^{{{e}}} at q = {q_max} exceeds the limit of {MAX_TERM_BITS:,} bits")
+    c = terms[-1][0] if terms and terms[-1][1] == 0 else 0
     if d == 1:
-        higher = [[coeffs.get(k, 0) for k in range(1, top + 1)]]
-        offsets = _offsets(src, higher, scale)[0]
-        return _decide(src, mode, witness_threshold, offsets, coeffs.get(0, 0), scale, puiseux_mode)
+        higher = [(a, n) for a, n in terms if n]
+        offsets = _offsets(src, [n for _, n in higher], [[a for a, _ in higher]], scale)[0]
+        return _decide(src, mode, witness_threshold, offsets, c, scale, puiseux_mode)
     if d == 2:
         # f = (c + R(q) + P(q) sqrt(q))/L, decided on 2(L*A_q - R(q)) - _roots at 2c, 2L
-        even = [[2 * coeffs.get(n, 0) for n in range(2, top + 1, 2)]]
-        odd = [coeffs.get(n, 0) for n in range(1, top + 1, 2)]
-        offsets = _offsets(src, even, 2 * scale, odd)[0]
-        c = coeffs.get(0, 0)
-        verdict = _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode)
-        v = verdict.violation
-        return replace(verdict, violation=v and Violation(v.n, v.count, _interval(f, v.n)))
+        even = [(2 * a, n // 2) for a, n in terms if n and n % 2 == 0]
+        odd = [(a, n // 2) for a, n in terms if n % 2]
+        offsets = _offsets(src, [k for _, k in even], [[a for a, _ in even]], 2 * scale, odd)[0]
+        return _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode, f)
 
     # exponent denominators >= 3: the certified floor/ceil at each point
     ceiling = mode == "ceiling"
@@ -314,20 +331,40 @@ def reject_linear_family(
     caller's signal that an envelope exists at this scale.  No claim beyond
     the scanned limit is made.
 
-    _decide reads both verdicts of every c from the offsets D_q = A_q - q.
+    Every verdict is _decide's on the offsets D_q = A_q - q, read for all c
+    from their running max and min (see _linear_verdicts).
     """
     if src.domain.kind == "naturals_from_2":
         raise ValueError("linear-family rejection runs on prime-based domains")
     check_c_range(c_lo, c_hi)
-    offsets = _offsets(src, [[1]])[0]
-    return [
-        LinearCandidateReport(
-            c=c,
-            ceiling=_decide(src, "ceiling", witness_threshold, offsets, c, 1, False),
-            floor=_decide(src, "floor", witness_threshold, offsets, c, 1, False),
-        )
-        for c in range(c_lo, c_hi + 1)
-    ]
+    offsets = _offsets(src, [1], [[1]])[0].tolist()
+    ceiling = _linear_verdicts(src, "ceiling", witness_threshold, offsets, 1)
+    floor = _linear_verdicts(src, "floor", witness_threshold, offsets, -1)
+    return [LinearCandidateReport(c, ceiling(c), floor(c)) for c in range(c_lo, c_hi + 1)]
+
+
+def _linear_verdicts(src: SequenceSource, mode: str, witness_threshold: int, offsets: list, sign: int):
+    """The function c -> _decide's verdict on t + c from the offsets
+    D_q = A_q - q, with sign 1 for the ceiling and -1 for the floor, which is
+    the ceiling of the offsets -D_q at -c.  With M the running max of sign*D,
+    the bound fails at the first point where M exceeds sign*c, and its
+    witnesses are the points before it where sign*D_q = M_q = sign*c."""
+    qs, counts = src.domain.qs.tolist(), src.counts.tolist()
+    signed = [sign * x for x in offsets]
+    top = list(accumulate(signed, max))
+    records = [i for i, (x, m) in enumerate(zip(signed, top)) if x == m]
+    levels = [top[i] for i in records]  # non-decreasing, as top is
+
+    def verdict(c: int) -> Verdict:
+        level = sign * c
+        stop = bisect_right(top, level)
+        witnesses = [qs[i] for i in records[bisect_left(levels, level) : bisect_right(levels, level)]]
+        violation = None
+        if stop < len(top):
+            violation = Violation(qs[stop], counts[stop], str(counts[stop] - offsets[stop] + c))
+        return _verdict(src, mode, witness_threshold, witnesses, violation)
+
+    return verdict
 
 
 @dataclass(frozen=True)
@@ -376,7 +413,7 @@ def search_polynomial(
             [coeff_lo + index // width ** (degree - k) % width for k in range(1, degree + 1)],
             dtype=np.int64,
         ).reshape(degree, rows).T
-        offsets = _offsets(src, higher)
+        offsets = _offsets(src, range(1, degree + 1), higher)
         top = offsets.max(axis=1, initial=coeff_lo)
         bottom = offsets.min(axis=1, initial=coeff_hi)
         inside = (offsets >= coeff_lo) & (offsets <= coeff_hi)

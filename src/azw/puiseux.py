@@ -1,5 +1,11 @@
 """Puiseux polynomials: finite sums a*t^e with rational a and rational e >= 0.
 
+The canonical form is kept in integers: canonical_terms keys each term by
+n = e*d, d the least common denominator of the exponents, adds coefficients
+only where an exponent repeats, and recomputes d over the terms that
+survive; Fractions are built for those terms alone.  zeta.FormalProduct
+keys its roots the same way.
+
 Values at positive integers are pinned down exactly.  Each polynomial is
 compiled once into integers: f(q) = (1/L) * sum A_n * rho^n, where
 rho = q^(1/d) (positive real branch) and d, L are the common exponent and
@@ -14,6 +20,7 @@ therefore never return a wrong answer and never rely on floating point.
 from __future__ import annotations
 
 import math
+import numbers
 import re
 from fractions import Fraction
 from functools import reduce
@@ -23,6 +30,41 @@ from .arith import factorize, iroot
 _MAX_BITS = 1 << 16  # unreachable: past 512 bits we already know f(q) is irrational
 
 
+def _rational(x):
+    """x as an int or a Fraction: an int or a Fraction as it is, any other
+    integer (bool, numpy) through int(), anything else through Fraction()."""
+    if type(x) is int or type(x) is Fraction:
+        return x
+    return int(x) if isinstance(x, numbers.Integral) else Fraction(x)
+
+
+def _fraction(x) -> Fraction:
+    return x if type(x) is Fraction else Fraction(x)
+
+
+def canonical_terms(pairs, descending: bool, nonnegative: bool = False):
+    """The canonical form of a sum of (value, key) pairs of rationals, as
+    (d, [(n, key, value), ...]): each key is n/d, with d the least common
+    denominator of the keys that survive, and the values of a repeated key
+    are added.  Zero values are dropped and the rest sorted by n.  Keys are
+    compared as the integers n, so a Fraction is built only for the keys and
+    values that survive.  With nonnegative, a key below 0 raises ValueError."""
+    read = [(_rational(k), _rational(v)) for v, k in pairs]
+    d = math.lcm(*[k.denominator for k, _ in read])
+    merged: dict = {}  # n -> (key, value)
+    for k, v in read:
+        if nonnegative and k.numerator < 0:
+            raise ValueError(f"negative exponent {k}")
+        n = k.numerator * (d // k.denominator)
+        merged[n] = (k, merged[n][1] + v) if n in merged else (k, v)
+    kept = sorted([(n, kv) for n, kv in merged.items() if kv[1]], reverse=descending)
+    g = math.gcd(d, *[n for n, _ in kept])  # d/g: the denominator of the survivors
+    if g > 1:
+        d //= g
+        return d, [(n // g, Fraction(n // g, d), _fraction(v)) for n, (_, v) in kept]
+    return d, [(n, _fraction(k), _fraction(v)) for n, (k, v) in kept]
+
+
 class PuiseuxPoly:
     """Immutable canonical form: terms (coeff, exponent) by decreasing exponent,
     no zero coefficients, exponents distinct and >= 0."""
@@ -30,24 +72,11 @@ class PuiseuxPoly:
     __slots__ = ("terms", "_compiled")
 
     def __init__(self, terms=()):
-        merged: dict[Fraction, Fraction] = {}
-        for coeff, exp in terms:
-            c = Fraction(coeff)
-            e = Fraction(exp)
-            if e < 0:
-                raise ValueError(f"negative exponent {e}")
-            merged[e] = merged.get(e, Fraction(0)) + c
-        canon = tuple(
-            (c, e) for e, c in sorted(merged.items(), reverse=True) if c != 0
-        )
-        object.__setattr__(self, "terms", canon)
+        d, kept = canonical_terms(terms, descending=True, nonnegative=True)
+        object.__setattr__(self, "terms", tuple([(c, e) for _, e, c in kept]))
         # (d, L, ((A_n, n), ...), N): f(q) = (1/L) sum A_n q^(n/d), N the top n
-        d = reduce(math.lcm, (e.denominator for _, e in canon), 1)
-        lcd = reduce(math.lcm, (c.denominator for c, _ in canon), 1)
-        ints = tuple(
-            (c.numerator * (lcd // c.denominator), e.numerator * (d // e.denominator))
-            for c, e in canon
-        )
+        lcd = math.lcm(*[c.denominator for _, _, c in kept])
+        ints = tuple([(c.numerator * (lcd // c.denominator), n) for n, _, c in kept])
         object.__setattr__(self, "_compiled", (d, lcd, ints, ints[0][1] if ints else 0))
 
     def __setattr__(self, *_):
@@ -61,16 +90,16 @@ class PuiseuxPoly:
 
     @classmethod
     def constant(cls, c) -> "PuiseuxPoly":
-        return cls([(Fraction(c), Fraction(0))])
+        return cls([(c, 0)])
 
     @classmethod
     def t_power(cls, e, coeff=1) -> "PuiseuxPoly":
-        return cls([(Fraction(coeff), Fraction(e))])
+        return cls([(coeff, e)])
 
     @classmethod
     def linear(cls, c) -> "PuiseuxPoly":
         """t + c."""
-        return cls([(Fraction(1), Fraction(1)), (Fraction(c), Fraction(0))])
+        return cls([(1, 1), (c, 0)])
 
     # --- ring-fragment operations ---------------------------------------
 
@@ -113,9 +142,10 @@ class PuiseuxPoly:
         return self.exponent_denominator == 1
 
     def value_at_one(self) -> tuple[Fraction, bool]:
-        """Sum of coefficients, and whether it is an integer."""
-        s = sum((c for c, _ in self.terms), Fraction(0))
-        return s, s.denominator == 1
+        """Sum of coefficients, and whether it is an integer: (1/L) sum A_n."""
+        _, lcd, ints, _ = self._compiled
+        s = sum(a for a, _ in ints)
+        return Fraction(s, lcd), s % lcd == 0
 
     # --- exact evaluation --------------------------------------------------
 
@@ -212,14 +242,11 @@ class PuiseuxPoly:
         raise RuntimeError(f"interval refinement did not resolve at q={q}")
 
 
-def binomial_terms(t_factor: int, r: int) -> list[tuple[Fraction, Fraction]]:
+def binomial_terms(t_factor: int, r: int) -> list[tuple[int, int]]:
     """The (coefficient, exponent) terms of T*(t-1)^r."""
     if r < 0:
         raise ValueError("power must be non-negative")
-    return [
-        (Fraction(t_factor * (-1) ** (r - k) * math.comb(r, k)), Fraction(k))
-        for k in range(r + 1)
-    ]
+    return [(t_factor * (-1) ** (r - k) * math.comb(r, k), k) for k in range(r + 1)]
 
 
 def expand_binomial(t_factor: int, r: int) -> PuiseuxPoly:
@@ -273,7 +300,10 @@ def _split_top_level(text: str) -> list[tuple[int, str]]:
 
 
 def parse_fraction(text: str) -> Fraction:
-    """Fraction(text), with a zero denominator reported as a ValueError."""
+    """Fraction(text), with a zero denominator reported as a ValueError; a
+    plain ASCII digit string is read by int()."""
+    if text.isascii() and text.isdigit():
+        return Fraction(int(text))
     try:
         return Fraction(text)
     except ZeroDivisionError as exc:
@@ -297,18 +327,18 @@ def parse_puiseux(text: str) -> PuiseuxPoly:
         elif m.group("c") is not None:
             coeff = parse_fraction(m.group("c"))
         else:
-            coeff = Fraction(1)
+            coeff = 1
         if m.group("t") is None:
-            exp = Fraction(0)
+            exp = 0
         elif m.group("ie") is not None:
-            exp = Fraction(int(m.group("ie")))
+            exp = int(m.group("ie"))
         elif m.group("be") is not None:
             exp = parse_fraction(m.group("be").replace(" ", ""))
         elif m.group("pe") is not None:
             exp = parse_fraction(m.group("pe").replace(" ", ""))
         else:
-            exp = Fraction(1)
-        terms.append((sign * coeff, exp))
+            exp = 1
+        terms.append((-coeff if sign < 0 else coeff, exp))
     return PuiseuxPoly(terms)
 
 

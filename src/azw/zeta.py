@@ -12,7 +12,7 @@ import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .puiseux import PuiseuxPoly, parse_fraction
+from .puiseux import PuiseuxPoly, canonical_terms, parse_fraction
 
 
 class FormalProduct:
@@ -21,14 +21,9 @@ class FormalProduct:
     __slots__ = ("factors",)
 
     def __init__(self, factors=()):
-        merged: dict[Fraction, Fraction] = {}
         items = factors.items() if isinstance(factors, dict) else factors
-        for root, mult in items:
-            r = Fraction(root)
-            m = Fraction(mult)
-            merged[r] = merged.get(r, Fraction(0)) + m
-        canon = {r: m for r, m in sorted(merged.items()) if m != 0}
-        object.__setattr__(self, "factors", canon)
+        _, kept = canonical_terms([(m, r) for r, m in items], descending=False)
+        object.__setattr__(self, "factors", {r: m for _, r, m in kept})
 
     def __setattr__(self, *_):
         raise AttributeError("FormalProduct is immutable")

@@ -331,6 +331,19 @@ def test_fit_verify_without_candidate_exits_1(capsys):
 
 
 @pytest.mark.parametrize(
+    "candidate, limit, q_max",
+    [("t^10000", "10000", 9973), ("t^{99999999}", "50", 49), ("t + t^{99999999/2}", "50", 49)],
+)
+def test_fit_verify_refuses_a_huge_top_term(capsys, candidate, limit, q_max):
+    code, out, err = run_cli(
+        capsys, "fit", "verify", "--source", "An:n=3", "--candidate", candidate, "--limit", limit
+    )
+    assert code == 1 and out == ""
+    assert err.startswith("error: candidate term t^{") and err.count("\n") == 1
+    assert f"at q = {q_max} exceeds the limit of {fit.MAX_TERM_BITS:,} bits" in err
+
+
+@pytest.mark.parametrize(
     "argv, message",
     [
         (("zeta", "tensor", "s"), "takes 2 expression(s), got 1"),

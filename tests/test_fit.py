@@ -395,7 +395,7 @@ def test_an_empty_domain_holds_int64_arrays(kind):
     src = fit.SequenceSource("empty", PrimePowerDomain(frozenset({2}), kind, 2), lambda pt: 2**70)
     assert src.values() == [] and src.bound == 0
     assert src.domain.qs.dtype == src.counts.dtype == np.int64
-    assert fit._offsets(src, [[1]], 2, [1]).shape == (1, 0)
+    assert fit._offsets(src, [1], [[1]], 2, [(1, 0)]).shape == (1, 0)
     # no point bounds the offsets' size: a coefficient past int64 takes the object path
     for f in (parse_puiseux(f"{2**70}t"), parse_puiseux(f"t + {2**70}t^{{1/2}}")):
         assert fit.verify_ceiling(f, src, 3).status == INSUFFICIENT_WITNESSES
@@ -431,6 +431,71 @@ def test_reject_linear_matches_one_scan_per_candidate(src, c_lo, span, threshold
         fit.reject_linear_family(src, c_lo, c_hi, threshold),
         brute_reject(src, c_lo, c_hi, threshold),
     )
+
+
+def decide_each(src, c_lo, c_hi, threshold):
+    """The reports of reject_linear_family from one _decide per mode and c."""
+    offsets = fit._offsets(src, [1], [[1]])[0]
+    return [
+        fit.LinearCandidateReport(
+            c,
+            fit._decide(src, "ceiling", threshold, offsets, c, 1, False),
+            fit._decide(src, "floor", threshold, offsets, c, 1, False),
+        )
+        for c in range(c_lo, c_hi + 1)
+    ]
+
+
+@given(
+    integer_sources(kinds=("prime_powers", "primes_only"), coeffs=[0, 1]),
+    st.sampled_from(LIFTS),
+    st.integers(-4, 2),
+    st.integers(0, 8),
+    st.integers(0, 4),
+)
+def test_reject_linear_matches_decide_for_each_c(src, level, shift, span, threshold):
+    # counts q + e, e in [-2, 2], lifted from a drawn point on: offsets with
+    # ties at every level, past 2^62 (held as Python ints) when lifted, and c
+    # around the unlifted or the lifted offsets
+    c_lo = level + shift
+    assert_same_reports(
+        fit.reject_linear_family(src, c_lo, c_lo + span, threshold),
+        decide_each(src, c_lo, c_lo + span, threshold),
+    )
+
+
+@pytest.mark.parametrize("kind", ["prime_powers", "primes_only"])
+def test_reject_linear_on_an_empty_domain(kind):
+    src = fit.SequenceSource("empty", PrimePowerDomain(frozenset({2}), kind, 2), lambda pt: 0)
+    for threshold, status in ((0, VERIFIED), (1, INSUFFICIENT_WITNESSES)):
+        reports = fit.reject_linear_family(src, -2, 2, threshold)
+        assert_same_reports(reports, decide_each(src, -2, 2, threshold))
+        assert {r.ceiling.status for r in reports} == {r.floor.status for r in reports} == {status}
+
+
+@pytest.mark.parametrize(
+    "text", ["t^40 - 3t^39 + 2", "t^{41/2} - t^20 + t^{1/2}", "2t^{40/3} - t^13"]
+)
+def test_sparse_high_exponents_match_the_certified_scan(text):
+    # the offsets hold one power of q per nonzero term, not one per degree
+    f = parse_puiseux(text)
+    src = fit.SequenceSource(
+        "floor f + [q = 25]", PrimePowerDomain(frozenset(), "prime_powers", 30),
+        lambda pt: f.floor_eval(pt.q) + (pt.q == 25),
+    )
+    for mode, puiseux_mode in product(("ceiling", "floor"), (False, True)):
+        assert_verify_matches_certified_scan(src, f, mode, puiseux_mode, 1)
+
+
+def test_a_top_term_past_the_bit_bound_is_refused(monkeypatch):
+    # prime powers to 50 end at q = 49, of 6 bits: t^e is admitted while 6e <= the bound
+    src = monoid.zlift_source(monoid.projective_space(1), PrimePowerDomain(frozenset(), "prime_powers", 50))
+    monkeypatch.setattr(fit, "MAX_TERM_BITS", 60)
+    for text in ("t^10", "t^{19/2} + 1", "t^{29/3}"):
+        assert fit.verify_floor(parse_puiseux(text), src, 1).status == BOUND_VIOLATED
+    for text in ("t^11", "t^{21/2}", "t^{31/3} + t"):
+        with pytest.raises(ValueError, match=r"at q = 49 exceeds the limit of 60 bits"):
+            fit.verify_ceiling(parse_puiseux(text), src, 1, puiseux_mode=True)
 
 
 @st.composite
@@ -476,8 +541,8 @@ def test_scaled_offsets_leave_int64():
     src = fit.SequenceSource(
         "2^61 + q", PrimePowerDomain(frozenset(), "prime_powers", 30), lambda pt: 2**61 + pt.q
     )
-    assert fit._offsets(src, [[1]]).dtype == np.int64
-    assert fit._offsets(src, [[1]], 3).dtype == object
+    assert fit._offsets(src, [1], [[1]]).dtype == np.int64
+    assert fit._offsets(src, [1], [[1]], 3).dtype == object
     # f(q) - A_q = (q - 2)/5: a ceiling met at q = 2 only, a floor that fails at q = 3
     close = parse_puiseux(f"(6/5)t + {2**61} - 2/5")
     for f, mode, puiseux_mode in product((parse_puiseux("(1/3)t"), close), ("ceiling", "floor"), (False, True)):
@@ -526,10 +591,10 @@ def test_half_integer_verify_matches_certified_scan(src_f, mode, puiseux_mode, t
 @pytest.mark.parametrize(
     "text, even, odd, dtype",
     [
-        (f"t + {2**30 - 1}t^{{1/2}}", [2], [2**30 - 1], np.int64),  # P(4)^2 4 = 2^62 - 2^33 + 4
-        (f"t + {2**30}t^{{1/2}}", [2], [2**30], object),  # P(4)^2 4 = 2^62
-        (f"t^{{1/2}} + {2**61 - 3}", [], [1], np.int64),  # 2 A_q <= 2^62 - 2
-        (f"t^{{1/2}} + {2**61 - 2}", [], [1], object),  # 2 A_4 = 2^62
+        (f"t + {2**30 - 1}t^{{1/2}}", [(2, 1)], [(2**30 - 1, 0)], np.int64),  # P(4)^2 4 = 2^62 - 2^33 + 4
+        (f"t + {2**30}t^{{1/2}}", [(2, 1)], [(2**30, 0)], object),  # P(4)^2 4 = 2^62
+        (f"t^{{1/2}} + {2**61 - 3}", [], [(1, 0)], np.int64),  # 2 A_q <= 2^62 - 2
+        (f"t^{{1/2}} + {2**61 - 2}", [], [(1, 0)], object),  # 2 A_4 = 2^62
     ],
     ids=["root-under", "root-at", "count-under", "count-at"],
 )
@@ -541,7 +606,8 @@ def test_half_integer_offsets_at_the_int64_bound(text, even, odd, dtype):
         "floor f + [q = 3]", PrimePowerDomain(frozenset(), "prime_powers", 4),
         lambda pt: f.floor_eval(pt.q) + (pt.q == 3),
     )
-    assert fit._offsets(src, [even], 2, odd).dtype == dtype  # f = (R + P sqrt(q))/1, twice
+    rows = [[h for h, _ in even]]  # f = (R + P sqrt(q))/1, twice
+    assert fit._offsets(src, [k for _, k in even], rows, 2, odd).dtype == dtype
     for mode, puiseux_mode in product(("ceiling", "floor"), (False, True)):
         assert_verify_matches_certified_scan(src, f, mode, puiseux_mode, 1)
 
@@ -558,7 +624,32 @@ def test_roots_are_exact_next_to_large_squares(a):
         both = 2 * root + (root * root != a * a * q)
         want.append(both if a > 0 else -both)
     for dtype in (np.int64, object):
-        assert fit._roots(np.array(qs, dtype=dtype), [a]).tolist() == want
+        assert fit._roots(np.array(qs, dtype=dtype), [(a, 0)]).tolist() == want
+
+
+@pytest.mark.parametrize("a", [1, -1, 3])
+def test_roots_on_both_sides_of_2_52(a):
+    # the int64 path corrects the float sqrt only from a square of 2^52 on:
+    # every square here is P(q)^2 q = a^2 q within a few units of m^2, with
+    # m^2 just below, at and just above 2^52
+    want, qs = [], []
+    for m in (2**26 - 1, 2**26, 2**26 + 1):
+        for q in range((m * m - 2) // (a * a), (m * m + 3) // (a * a) + 1):
+            root = math.isqrt(a * a * q)
+            both = 2 * root + (root * root != a * a * q)
+            qs.append(q)
+            want.append(both if a > 0 else -both)
+    assert min(a * a * q for q in qs) < 2**52 <= max(a * a * q for q in qs)
+    for dtype in (np.int64, object):
+        assert fit._roots(np.array(qs, dtype=dtype), [(a, 0)]).tolist() == want
+
+
+@given(st.integers(0, 2**52 - 1), st.integers(1, 2**20))
+def test_uncorrected_float_roots_below_2_52_are_exact(square, width):
+    # squares of one sign below 2^52 skip the correction: a float sqrt floors to isqrt
+    qs = np.arange(square, min(square + width, 2**52), dtype=np.int64)[:64]
+    got = fit._roots(qs, [(1, 0)]).tolist()
+    assert got == [2 * math.isqrt(q) + (math.isqrt(q) ** 2 != q) for q in qs.tolist()]
 
 
 def spec_f13_src(limit=2000):
@@ -628,7 +719,7 @@ def test_search_at_the_int64_bound(big, dtype):
         "q + 1 but one", PrimePowerDomain(frozenset(), "prime_powers", 10),
         lambda pt: big if pt.q == 7 else pt.q + 1,
     )
-    assert fit._offset_dtype(src.bound, 9, -1, 1, 1) is dtype
+    assert fit._offset_dtype(src.bound, 9, 1, [1]) is dtype
     rep = fit.search_polynomial(src, 1, -1, 1, 3)
     assert rep.ceiling == ()
     assert rep.floor == (parse_puiseux("t + 1"),)

@@ -1,7 +1,10 @@
 import math
 import random
 from fractions import Fraction
+from functools import reduce
+from types import SimpleNamespace
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,8 +14,10 @@ from azw.puiseux import (
     PuiseuxPoly,
     expand_binomial,
     format_puiseux,
+    parse_fraction,
     parse_puiseux,
 )
+from azw.zeta import FormalProduct, format_product, parse_product
 
 C = parse_puiseux("t + 2t^{1/2} + 1")
 F = parse_puiseux("t - 2t^{1/2} + 1")
@@ -226,3 +231,128 @@ def test_format_parse_roundtrip_random():
             terms.append((c, e))
         f = PuiseuxPoly(terms)
         assert parse_puiseux(format_puiseux(f)) == f
+
+
+# --- canonical forms against their Fraction references ------------------------
+
+
+def reference_poly(terms):
+    """PuiseuxPoly's canonical form computed in Fractions, term by term:
+    (terms, compiled), as the constructor computed it before it kept keys
+    in integers."""
+    merged: dict[Fraction, Fraction] = {}
+    for coeff, exp in terms:
+        c = Fraction(coeff)
+        e = Fraction(exp)
+        if e < 0:
+            raise ValueError(f"negative exponent {e}")
+        merged[e] = merged.get(e, Fraction(0)) + c
+    canon = tuple((c, e) for e, c in sorted(merged.items(), reverse=True) if c != 0)
+    d = reduce(math.lcm, (e.denominator for _, e in canon), 1)
+    lcd = reduce(math.lcm, (c.denominator for c, _ in canon), 1)
+    ints = tuple(
+        (c.numerator * (lcd // c.denominator), e.numerator * (d // e.denominator)) for c, e in canon
+    )
+    return canon, (d, lcd, ints, ints[0][1] if ints else 0)
+
+
+def reference_product(factors):
+    """FormalProduct's root -> multiplicity map computed in Fractions."""
+    merged: dict[Fraction, Fraction] = {}
+    for root, mult in factors:
+        r = Fraction(root)
+        merged[r] = merged.get(r, Fraction(0)) + Fraction(mult)
+    return {r: m for r, m in sorted(merged.items()) if m != 0}
+
+
+@st.composite
+def as_given(draw, x: Fraction):
+    """x as an int, a Fraction, an 'a/b' string or a numpy int."""
+    kinds = ["fraction", "str"] + (["int", "numpy"] if x.denominator == 1 else [])
+    kind = draw(st.sampled_from(kinds))
+    if kind == "int":
+        return int(x)
+    if kind == "numpy":
+        return np.int64(x.numerator)
+    return f"{x.numerator}/{x.denominator}" if kind == "str" else x
+
+
+@st.composite
+def term_lists(draw, key_lo: int):
+    """(value, key) pairs with keys in [key_lo/4, 3]: repeated keys, some
+    terms cancelled by their negation (which may lower the keys' common
+    denominator, or leave nothing), in a drawn order and representation."""
+    rationals = lambda lo, hi: st.builds(Fraction, st.integers(lo, hi), st.integers(1, 4))
+    base = draw(st.lists(st.tuples(rationals(-6, 6), rationals(key_lo, 12)), max_size=5))
+    cancelled = draw(st.lists(st.sampled_from(base), max_size=len(base))) if base else []
+    pairs = draw(st.permutations(base + [(-v, k) for v, k in cancelled]))
+    return [(draw(as_given(v)), draw(as_given(k))) for v, k in pairs]
+
+
+def text_of(terms) -> str:
+    return format_puiseux(SimpleNamespace(terms=terms))
+
+
+@given(term_lists(0))
+def test_puiseux_canonical_form_matches_fraction_reference(pairs):
+    f = PuiseuxPoly(pairs)
+    terms, compiled = reference_poly(pairs)
+    assert f.terms == terms and f._compiled == compiled
+    assert all(type(x) is Fraction and type(x.numerator) is int for term in f.terms for x in term)
+    value = sum((c for c, _ in terms), Fraction(0))
+    assert f.value_at_one() == (value, value.denominator == 1)
+    assert hash(f) == hash(terms)
+    assert format_puiseux(f) == text_of(terms)
+    assert parse_puiseux(format_puiseux(f)) == f
+
+
+@given(term_lists(-8))
+def test_negative_exponents_still_raise(pairs):
+    if all(Fraction(k) >= 0 for _, k in pairs):
+        assert PuiseuxPoly(pairs).terms == reference_poly(pairs)[0]
+        return
+    with pytest.raises(ValueError, match="negative exponent"):
+        reference_poly(pairs)
+    with pytest.raises(ValueError, match="negative exponent"):
+        PuiseuxPoly(pairs)
+
+
+@given(term_lists(-8))
+def test_product_canonical_form_matches_fraction_reference(pairs):
+    factors = [(k, v) for v, k in pairs]  # (root, multiplicity)
+    z = FormalProduct(factors)
+    want = reference_product(factors)
+    assert z.factors == want and list(z.factors) == list(want)
+    assert all(type(x) is Fraction and type(x.numerator) is int for item in z.factors.items() for x in item)
+    assert hash(z) == hash(tuple(want.items()))
+    assert format_product(z) == format_product(SimpleNamespace(factors=want))
+    assert parse_product(format_product(z)) == z
+    assert FormalProduct(dict(z.factors)) == z
+
+
+def test_cancellation_lowers_the_exponent_denominator():
+    f = PuiseuxPoly([(1, Fraction(1, 2)), (-1, "1/2"), (1, 1)])
+    assert f.terms == ((1, 1),) and f.exponent_denominator == 1 and f.is_ordinary
+    g = PuiseuxPoly([(1, Fraction(1, 4)), (-1, Fraction(1, 4)), (2, Fraction(3, 2))])
+    assert g._compiled == (2, 1, ((2, 3),), 3)
+    assert PuiseuxPoly([(Fraction(1, 3), 2), (Fraction(-1, 3), 2)])._compiled == (1, 1, (), 0)
+
+
+@pytest.mark.parametrize(
+    "text", ["0", "7", "0012", "1234567890123456789012345", " 3/6 ", "+3", "1_0", "\u0663", "\u00b2", "3.5"]
+)
+def test_parse_fraction_reads_as_fraction_does(text):
+    # ASCII digit strings take int(); the rest, other Unicode digits included, Fraction(str)
+    try:
+        want = Fraction(text)
+    except ValueError:
+        with pytest.raises(ValueError):
+            parse_fraction(text)
+        return
+    got = parse_fraction(text)
+    assert got == want and type(got) is Fraction and type(got.numerator) is int
+
+
+def test_parse_fraction_zero_denominator():
+    with pytest.raises(ValueError, match="zero denominator"):
+        parse_fraction("1/0")
