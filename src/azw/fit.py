@@ -9,11 +9,11 @@ about a declared finite scan, never a proof.
 An ordinary candidate f = (c + rest)/L (integer exponents; c, L integers) is
 decided exactly from the offsets D_q = L*A_q - rest(q) by _decide, and one
 with exponent denominator 2 from such offsets less one exact integer square
-root per point (_roots).  Only exponent denominators >= 3 are scanned point
-by point, through the certified floor/ceil of the puiseux module: an integer
-A <= f(n) iff A <= floor(f(n)).  The offsets hold one power of q for each
+root per point (_roots).  Envelopes of Frobenius eigenvalues, of absolute
+value q^(w/2), have exponents in (1/2)Z, and a candidate with a larger
+exponent denominator is refused.  The offsets hold one power of q for each
 nonzero term of f, and a candidate whose top term is too large to write
-down at the domain's largest q (MAX_TERM_BITS) is refused.
+down at the domain's largest q (MAX_TERM_BITS) is refused too.
 """
 
 from __future__ import annotations
@@ -230,10 +230,16 @@ def _scan(
     witness_threshold: int,
     puiseux_mode: bool,
 ) -> Verdict:
+    d, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^(n/d), n descending
+    if d > 2:
+        e = next(e for _, e in f.terms if e.denominator > 2)
+        raise ValueError(
+            f"candidate term t^{{{e}}} has exponent denominator {e.denominator}:"
+            " fit decides exponents in (1/2)Z only"
+        )
     if puiseux_mode and not f.value_at_one()[1]:
         verdict = _verdict(src, mode, witness_threshold, puiseux_mode=True)
         return replace(verdict, status=NON_INTEGRAL_AT_ONE)
-    d, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^(n/d), n descending
     q_max = int(src.domain.qs.max(initial=1))
     if top * q_max.bit_length() > d * MAX_TERM_BITS:
         e = f.terms[0][1]
@@ -243,32 +249,27 @@ def _scan(
         higher = [(a, n) for a, n in terms if n]
         offsets = _offsets(src, [n for _, n in higher], [[a for a, _ in higher]], scale)[0]
         return _decide(src, mode, witness_threshold, offsets, c, scale, puiseux_mode)
-    if d == 2:
-        # f = (c + R(q) + P(q) sqrt(q))/L, decided on 2(L*A_q - R(q)) - _roots at 2c, 2L
-        even = [(2 * a, n // 2) for a, n in terms if n and n % 2 == 0]
-        odd = [(a, n // 2) for a, n in terms if n % 2]
-        offsets = _offsets(src, [k for _, k in even], [[a for a, _ in even]], 2 * scale, odd)[0]
-        return _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode, f)
-
-    # exponent denominators >= 3: the certified floor/ceil at each point
-    ceiling = mode == "ceiling"
-    rounded, other = (f.floor_eval, f.ceil_eval) if ceiling else (f.ceil_eval, f.floor_eval)
-    witnesses: list[int] = []
-    for n, count in zip(src.domain.qs.tolist(), src.counts.tolist()):
-        r = rounded(n)
-        if count > r if ceiling else count < r:  # the bound fails at n
-            violation = Violation(n, count, _interval(f, n))
-            return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
-        # outside puiseux mode a witness is f(n) = count, so both roundings meet it
-        if r == count and (puiseux_mode or other(n) == count):
-            witnesses.append(n)
-    return _verdict(src, mode, witness_threshold, witnesses, puiseux_mode=puiseux_mode)
+    # f = (c + R(q) + P(q) sqrt(q))/L, decided on 2(L*A_q - R(q)) - _roots at 2c, 2L
+    even = [(2 * a, n // 2) for a, n in terms if n and n % 2 == 0]
+    odd = [(a, n // 2) for a, n in terms if n % 2]
+    offsets = _offsets(src, [k for _, k in even], [[a for a, _ in even]], 2 * scale, odd)[0]
+    return _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode, f)
 
 
 def _interval(f: PuiseuxPoly, n: int) -> str:
     """f(n) as its certified 64-bit interval."""
     lo, hi, den = f._bounds(n, 64)
-    return f"[{lo / den:.6f}, {hi / den:.6f}]"
+    return f"[{_decimal(lo, den)}, {_decimal(hi, den)}]"
+
+
+def _decimal(num: int, den: int) -> str:
+    """num/den (den > 0) to six decimals, rounded half to even in integers; a
+    negative value keeps its sign at 0, as a float's text does.  Unlike a
+    float, it neither overflows nor rounds a large value to 53 bits first."""
+    units, rest = divmod(abs(num) * 2_000_000 + den, 2 * den)  # floor(|num|/den * 10^6 + 1/2)
+    if not rest and units & 1:  # a tie, rounded up to an odd last digit
+        units -= 1
+    return ("-%d.%06d" if num < 0 else "%d.%06d") % divmod(units, 1_000_000)
 
 
 def verify_ceiling(

@@ -6,15 +6,13 @@ only where an exponent repeats, and recomputes d over the terms that
 survive; Fractions are built for those terms alone.  zeta.FormalProduct
 keys its roots the same way.
 
-Values at positive integers are pinned down exactly.  Each polynomial is
-compiled once into integers: f(q) = (1/L) * sum A_n * rho^n, where
-rho = q^(1/d) (positive real branch) and d, L are the common exponent and
-coefficient denominators.  One integer root R = floor(rho * 2^b) bounds each
-term between (R/2^b)^n and ((R+1)/2^b)^n, and R^d = radicand makes it exact.
-Otherwise f(q) is rational only if its irrational parts cancel, which a
-radical decomposition decides, or it is irrational and doubling b separates
-it from every integer after finitely many steps.  floor_eval/ceil_eval
-therefore never return a wrong answer and never rely on floating point.
+Each polynomial is compiled once into integers: f(q) = (1/L) * sum A_n *
+rho^n, where rho = q^(1/d) (positive real branch) and d, L are the common
+exponent and coefficient denominators.  fit decides its candidates from these
+integers, for exponents in (1/2)Z only.  _bounds(q, b) brackets f(q) between
+two integers over one denominator from one integer root R = floor(rho * 2^b):
+each term lies between (R/2^b)^n and ((R+1)/2^b)^n, and R^d = radicand makes
+the bounds meet.  It prints the interval of a violated half-integer candidate.
 """
 
 from __future__ import annotations
@@ -23,11 +21,8 @@ import math
 import numbers
 import re
 from fractions import Fraction
-from functools import reduce
 
-from .arith import factorize, iroot
-
-_MAX_BITS = 1 << 16  # unreachable: past 512 bits we already know f(q) is irrational
+from .arith import iroot
 
 
 def _rational(x):
@@ -112,12 +107,6 @@ class PuiseuxPoly:
     def __sub__(self, other: "PuiseuxPoly") -> "PuiseuxPoly":
         return self + (-other)
 
-    def scale(self, c) -> "PuiseuxPoly":
-        c = Fraction(c)
-        if c == 0:
-            return PuiseuxPoly()
-        return PuiseuxPoly([(a * c, e) for a, e in self.terms])
-
     def __eq__(self, other) -> bool:
         return isinstance(other, PuiseuxPoly) and self.terms == other.terms
 
@@ -137,52 +126,13 @@ class PuiseuxPoly:
         """Least common denominator d of all exponents (1 for the zero poly)."""
         return self._compiled[0]
 
-    @property
-    def is_ordinary(self) -> bool:
-        return self.exponent_denominator == 1
-
     def value_at_one(self) -> tuple[Fraction, bool]:
         """Sum of coefficients, and whether it is an integer: (1/L) sum A_n."""
         _, lcd, ints, _ = self._compiled
         s = sum(a for a, _ in ints)
         return Fraction(s, lcd), s % lcd == 0
 
-    # --- exact evaluation --------------------------------------------------
-
-    def eval_exact(self, q: int) -> Fraction:
-        """Exact rational value at q; q must be a perfect d-th power."""
-        if q < 1:
-            raise ValueError("evaluation domain is q >= 1")
-        lo, hi, den = self._bounds(q, 0)
-        if lo != hi:
-            raise ValueError(f"{q} is not a perfect {self.exponent_denominator}-th power")
-        return Fraction(lo, den)
-
-    def _rational_value(self, q: int) -> Fraction | None:
-        """f(q) as a Fraction when it is rational, else None.
-
-        Write q = w^g with w not a perfect power; each t^e contributes a
-        rational multiple of w^(r/D) with 0 <= r/D < 1.  Those fractional
-        powers of w are linearly independent over Q, so f(q) is rational
-        exactly when every fractional residue class cancels.
-        """
-        if q == 1:
-            return self.value_at_one()[0]
-        fact = factorize(q)
-        g = reduce(math.gcd, (e for _, e in fact))
-        w = 1
-        for p, e in fact:
-            w *= p ** (e // g)
-        buckets: dict[Fraction, Fraction] = {}
-        for c, e in self.terms:
-            beta = e * g  # exponent of w
-            i, r = divmod(beta.numerator, beta.denominator)
-            key = Fraction(r, beta.denominator)
-            buckets[key] = buckets.get(key, Fraction(0)) + c * w**i
-        for key, coeff in buckets.items():
-            if key != 0 and coeff != 0:
-                return None
-        return buckets.get(Fraction(0), Fraction(0))
+    # --- certified interval ----------------------------------------------
 
     def _bounds(self, q: int, bits: int) -> tuple[int, int, int]:
         """Integers lo, hi, den with lo/den <= f(q) <= hi/den, from
@@ -213,33 +163,6 @@ class PuiseuxPoly:
                 lo += above
                 hi += below
         return lo, hi, den << bits * top
-
-    def floor_eval(self, q: int) -> int:
-        """Exact floor of f(q) for integer q >= 1."""
-        return self._rounded(q, False)
-
-    def ceil_eval(self, q: int) -> int:
-        """Exact ceiling of f(q) for integer q >= 1."""
-        return self._rounded(q, True)
-
-    def _rounded(self, q: int, up: bool) -> int:
-        if q < 1:
-            raise ValueError("evaluation domain is q >= 1")
-        bits = 0 if self._compiled[0] == 1 else 64  # an ordinary f is exact at 0 bits
-        while bits <= _MAX_BITS:
-            lo, hi, den = self._bounds(q, bits)
-            if up:  # ceil(x) = -floor(-x)
-                lo, hi = -hi, -lo
-            low = lo // den
-            if low == hi // den:
-                return -low if up else low
-            if bits == 512:
-                exact = self._rational_value(q)
-                if exact is not None:
-                    return math.ceil(exact) if up else math.floor(exact)
-                # irrational: the bounds must separate it from every integer
-            bits *= 2
-        raise RuntimeError(f"interval refinement did not resolve at q={q}")
 
 
 def binomial_terms(t_factor: int, r: int) -> list[tuple[int, int]]:

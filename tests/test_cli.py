@@ -25,6 +25,9 @@ def test_zeta_soule(capsys):
     code, out, _ = run_cli(capsys, "zeta", "soule", "t + 2t^{1/2} + 1")
     assert code == 0
     assert out.strip() == "1 / (s (s-1/2)^2 (s-1))"
+    # only fit refuses an exponent denominator past 2; the algebra keeps it
+    code, out, _ = run_cli(capsys, "zeta", "soule", "t + t^{1/3}")
+    assert code == 0 and out == "1 / ((s-1/3) (s-1))\n"
 
 
 def test_zeta_tensor(capsys):
@@ -343,6 +346,30 @@ def test_fit_verify_refuses_a_huge_top_term(capsys, candidate, limit, q_max):
     assert f"at q = {q_max} exceeds the limit of {fit.MAX_TERM_BITS:,} bits" in err
 
 
+def test_a_violation_past_the_float_range_prints_its_interval(capsys):
+    # f(2) = 2^1050.5 is past the largest float; both ends are rounded in integers
+    code, out, err = run_cli(
+        capsys, "fit", "verify", "--source", "An:n=3", "--candidate", "t^{2101/2}", "--limit", "50", "--mode", "floor"
+    )
+    lo = (
+        "17061234216813641350199254534114669902149569688078991908986985525651886923749600448747333762644976967235"
+        "748433579231381816901089527972212850015398636675666068116779887708574677694356543159577917854778476360518"
+        "280466895443294288421953470445591691931055689242866885732993124237855889495305310273658791853453164067755"
+        "573.905598"
+    )
+    hi = (
+        "17061234216813642724246852006250659418642417364195492763436168217564836261852793396885330571100017922363"
+        "596554304710758494837542952352962056020015927527620950514032748715708720999372740654800551974306475715375"
+        "428673205878630538633820913621343974831708805662234307650525752562753069877714597534296756906172397133117"
+        "926.347418"
+    )
+    assert code == 2 and err == ""
+    assert out == (
+        "floor candidate on #A3(F_q): bound_violated (witnesses 0/3, limit 50, excluded {});"
+        f" violated at n=2: count 0 vs f(n)=[{lo}, {hi}]\n"
+    )
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -377,6 +404,14 @@ def test_fit_verify_refuses_a_huge_top_term(capsys, candidate, limit, q_max):
         (("curve", "census", "--a", "1", "--b", "0", "--exclude", "9"), "excluded entry 9 is not prime"),
         (("fit", "search", "--source", "An:n=3", "--witnesses", "0"), "--witnesses must be positive, not 0"),
         (("curve", "count", "--a", "1", "--b", "0", "--p", "5", "--m", "0"), "--m must be positive, not 0"),
+        (
+            ("fit", "verify", "--source", "An:n=3", "--candidate", "t^{1/3}", "--limit", "50"),
+            "candidate term t^{1/3} has exponent denominator 3: fit decides exponents in (1/2)Z only",
+        ),
+        (
+            ("fit", "verify", "--source", "An:n=3", "--candidate", "t^{1/1000000}", "--limit", "50", "--mode", "floor"),
+            "candidate term t^{1/1000000} has exponent denominator 1000000",
+        ),
     ],
     ids=[
         "tensor-one-product", "soule-two-polynomials", "reflect-d-1/0", "candidate-1/0",
@@ -384,7 +419,7 @@ def test_fit_verify_refuses_a_huge_top_term(capsys, candidate, limit, q_max):
         "source-monoid-no-colon", "source-monoid-no-path", "criterion-0", "criterion-99", "criterion--1",
         "source-unknown-key", "family-unknown-key", "source-repeated-key", "family-repeated-key",
         "source-curve-empty-file", "source-curve-file-and-a", "family-exclude-4", "curve-exclude-9",
-        "witnesses-0", "m-0",
+        "witnesses-0", "m-0", "candidate-t^{1/3}", "candidate-t^{1/1000000}",
     ],
 )
 def test_bad_input_exits_1_with_one_line(capsys, argv, message):
@@ -567,7 +602,7 @@ def _string_pool(dest, files):
             "curve:a=-1,b=0", "curve:a=0,b=0", f"curve:file={curves},label=px",
             f"monoid:{scheme}", f"monoid:file={scheme}", "pell:delta=5,extra=1", "monoid", "curve:a=-1",
         ],
-        "candidate": ["t", "t - 2", "t + 1", "3", "t^{1/2}", "t + 2t^{1/2} + 1", "t+"],
+        "candidate": ["t", "t - 2", "t + 1", "3", "t^{1/2}", "t + 2t^{1/2} + 1", "t+", "t^{1/3}", "t^{2101/2}"],
         "exclude": ["2", "2,3", "5", "4", "2,x"],
     }[dest]
 
