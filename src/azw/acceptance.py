@@ -28,7 +28,7 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import elliptic, fit, monoid, schemes
-from .arith import PrimePowerDomain, build_field, factorize, sieve
+from .arith import PrimePowerDomain, build_field, sieve
 from .puiseux import parse_puiseux
 from .zeta import check_functional_equation, parse_product, soule_zeta, tensor
 
@@ -173,12 +173,11 @@ def criterion_03() -> CriterionResult:
     group homomorphisms Z^r x prod Z/t_j -> F_q^x, for every q <= 64."""
     t0 = time.time()
     failures = []
-    qs = sorted(p**m for p in sieve(64) for m in range(1, 7) if p**m <= 64)
+    qs = sorted((p**m, p, m) for p in sieve(64) for m in range(1, 7) if p**m <= 64)
     pairs = 0
     for r, tors in AFFINE_GROUPS:
         x = monoid.MonoidScheme((monoid.MonoidSchemePoint(r, tors),), f"Z^{r}x{tors}")
-        for q in qs:
-            ((p, m),) = factorize(q)
+        for q, p, m in qs:
             fld = build_field(p, m)
             units = fld.elements()[:, 1:]  # column 0 is the zero element
             codes = fld.code(units)  # the one element has code 1

@@ -12,7 +12,7 @@ import itertools
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,15 +24,6 @@ def isqrt(n: int) -> int:
     if n < 0:
         raise ValueError("isqrt of negative integer")
     return math.isqrt(n)
-
-
-def isqrt_ceil(n: int) -> int:
-    """Smallest s with s*s >= n."""
-    if n < 0:
-        raise ValueError("isqrt_ceil of negative integer")
-    if n == 0:
-        return 0
-    return math.isqrt(n - 1) + 1
 
 
 def iroot(n: int, k: int) -> int:
@@ -70,6 +61,19 @@ def is_prime(n: int) -> bool:
             return False
         f += 6
     return True
+
+
+def is_prime_power(q: int) -> bool:
+    """Whether q = p^m for a prime p and an m >= 1.  The root r of the
+    largest k with r^k = q is itself no perfect power, so q is a prime power
+    exactly when r is prime."""
+    if q < 2:
+        return False
+    for k in range(q.bit_length() - 1, 0, -1):
+        r = iroot(q, k)
+        if r**k == q:
+            return is_prime(r)
+    return False
 
 
 def sieve(limit: int) -> list[int]:
@@ -132,20 +136,19 @@ def legendre(a: int, p: int) -> int:
 
 class DomainPoint(NamedTuple):
     q: int
-    p: Optional[int]
-    m: Optional[int]
+    p: int
+    m: int
 
 
 @dataclass(frozen=True)
 class PrimePowerDomain:
     """Finite index set for count sequences.
 
-    kind 'prime_powers' holds {p^m <= limit : p prime not in excluded},
-    'primes_only' the primes themselves, and 'naturals_from_2' all integers
-    2..limit (excluded must then be empty).  `points` lists them strictly
-    increasing in q with no duplicates, and `qs` holds their q as one int64
-    array; both are computed once, when the domain is built, so callers
-    share one enumeration by sharing the domain.
+    kind 'prime_powers' holds {p^m <= limit : p prime not in excluded}, and
+    'primes_only' the primes themselves.  `points` lists them strictly
+    increasing in q with no duplicates, each with its p and m, and `qs`
+    holds their q as one int64 array; both are computed once, when the
+    domain is built, so callers share one enumeration by sharing the domain.
     """
 
     excluded: frozenset[int] = frozenset()
@@ -155,27 +158,22 @@ class PrimePowerDomain:
     qs: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("prime_powers", "primes_only", "naturals_from_2"):
+        if self.kind not in ("prime_powers", "primes_only"):
             raise ValueError(f"unknown domain kind {self.kind!r}")
         if self.limit < 2:
             raise ValueError("domain limit must be >= 2")
         object.__setattr__(self, "excluded", frozenset(self.excluded))
-        if self.kind == "naturals_from_2":
-            if self.excluded:
-                raise ValueError("naturals_from_2 takes no excluded set")
-            points = [DomainPoint(n, None, None) for n in range(2, self.limit + 1)]
-        else:
-            check_excluded(self.excluded)
-            points = []
-            for p in sieve(self.limit):
-                if p in self.excluded:
-                    continue
-                q, m = p, 1
-                while q <= self.limit and (m == 1 or self.kind == "prime_powers"):
-                    points.append(DomainPoint(q, p, m))
-                    q *= p
-                    m += 1
-            points.sort()
+        check_excluded(self.excluded)
+        points = []
+        for p in sieve(self.limit):
+            if p in self.excluded:
+                continue
+            q, m = p, 1
+            while q <= self.limit and (m == 1 or self.kind == "prime_powers"):
+                points.append(DomainPoint(q, p, m))
+                q *= p
+                m += 1
+        points.sort()
         object.__setattr__(self, "points", tuple(points))
         object.__setattr__(self, "qs", np.array([pt.q for pt in points], dtype=np.int64))
 

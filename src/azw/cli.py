@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import sys
 from typing import Callable, NamedTuple, Optional
 
@@ -389,7 +390,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[list[str]] = None) -> int:
     ns = build_parser().parse_args(argv)
     try:
-        return ns.run(ns)
+        code = ns.run(ns)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: not bad input.  Point stdout at devnull so
+        # the flush at interpreter exit finds no closed pipe, and exit as a
+        # shell reports a process ended by SIGPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT

@@ -44,6 +44,7 @@ from .arith import (
     check_excluded,
     factorize,
     is_prime,
+    is_prime_power,
     isqrt,
     sieve,
 )
@@ -651,8 +652,7 @@ def hasse_weil_bounds(q: int, genus: int) -> HasseWeilBounds:
     """Attainable integer envelope q + 1 -+ floor(2g sqrt(q)) (counts are
     integers inside the real interval q + 1 -+ 2g sqrt(q)), together with
     the Puiseux candidates t -+ 2g t^(1/2) + 1."""
-    fact = factorize(q)
-    if len(fact) != 1 or q < 2:
+    if not is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
     if genus < 0:
         raise ValueError("genus must be >= 0")
@@ -670,8 +670,6 @@ def count_source(
     """(#E(F_q))_q; the domain's excluded set must cover the bad primes.  The
     traces of the domain's primes (its points with m = 1) come from one
     batch, and each count follows from its prime's trace by the recursion."""
-    if domain.kind == "naturals_from_2":
-        raise ValueError("curve counts live on prime-based domains")
     if not curve.bad_primes <= domain.excluded:
         raise ValueError("domain must exclude the curve's bad primes")
     table = TraceTable.of(curve, [pt.p for pt in domain.points if pt.m == 1])

@@ -335,8 +335,6 @@ def reject_linear_family(
     Every verdict is _decide's on the offsets D_q = A_q - q, read for all c
     from their running max and min (see _linear_verdicts).
     """
-    if src.domain.kind == "naturals_from_2":
-        raise ValueError("linear-family rejection runs on prime-based domains")
     check_c_range(c_lo, c_hi)
     offsets = _offsets(src, [1], [[1]])[0].tolist()
     ceiling = _linear_verdicts(src, "ceiling", witness_threshold, offsets, 1)

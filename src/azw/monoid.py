@@ -6,9 +6,11 @@ the counting formulas depend on nothing else:
     #X(F_{1^n})   = sum over points of n^r * prod_j gcd(n, t_j)
     #X_Z(F_q)     = #X(F_{1^(q-1)})        for q a prime power
 
-Torsion input is canonicalized to the divisibility chain (prime-power lists
-are recombined into invariant factors on ingestion), so representation is
-unique and gcd products are preserved.
+Torsion input is canonicalized to the divisibility chain on ingestion, by
+gcd/lcm steps that factor no entry, so representation is unique and gcd
+products are preserved.  The F_{1^n} envelopes are closed forms
+(f1_ceiling_floor); the one count source, zlift_source, runs on a
+prime-power domain.
 """
 
 from __future__ import annotations
@@ -19,35 +21,25 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from . import fit
-from .arith import PrimePowerDomain, factorize
+from .arith import PrimePowerDomain, is_prime_power
 from .puiseux import PuiseuxPoly, binomial_terms
 from .zeta import FormalProduct
 
 
 def _invariant_chain(entries: Iterable[int]) -> tuple[int, ...]:
-    """Canonical divisibility chain of prod Z/t for the given entries."""
-    by_prime: dict[int, list[int]] = {}
+    """Canonical divisibility chain of prod Z/t for the given entries.  Each
+    step (a_i, a_j) -> (gcd, lcm), i < j, keeps the group; after the steps of
+    i, a_i divides every later entry, so the list is the chain up to 1s."""
+    chain = []
     for t in entries:
         if t < 1:
             raise ValueError(f"torsion entry {t} must be >= 1")
-        if t == 1:
-            continue
-        for p, e in factorize(t):
-            by_prime.setdefault(p, []).append(e)
-    if not by_prime:
-        return ()
-    for exps in by_prime.values():
-        exps.sort(reverse=True)
-    length = max(len(v) for v in by_prime.values())
-    chain = []
-    for k in range(length):  # k = 0 is the largest invariant factor
-        f = 1
-        for p, exps in by_prime.items():
-            if k < len(exps):
-                f *= p ** exps[k]
-        chain.append(f)
-    chain.reverse()
-    return tuple(chain)
+        chain.append(t)
+    for i in range(len(chain)):
+        for j in range(i + 1, len(chain)):
+            g = math.gcd(chain[i], chain[j])
+            chain[i], chain[j] = g, chain[i] // g * chain[j]
+    return tuple(t for t in chain if t > 1)
 
 
 @dataclass(frozen=True)
@@ -100,8 +92,7 @@ def count_f1n(x: MonoidScheme, n: int) -> int:
 
 def count_zlift(x: MonoidScheme, q: int) -> int:
     """#X_Z(F_q) = #X(F_{1^(q-1)}); q must be a prime power."""
-    fact = factorize(q)
-    if len(fact) != 1 or q < 2:
+    if not is_prime_power(q):
         raise ValueError(f"{q} is not a prime power")
     return count_f1n(x, q - 1)
 
@@ -258,20 +249,9 @@ def save_scheme(x: MonoidScheme, path: str) -> None:
 
 def zlift_source(x: MonoidScheme, domain: PrimePowerDomain) -> fit.SequenceSource:
     """(#X_Z(F_q))_q over a prime-power domain."""
-    if domain.kind == "naturals_from_2":
-        raise ValueError("zlift counts live on prime-power domains")
     return fit.SequenceSource(
         label=f"#({x.label or 'X'})_Z(F_q)",
         domain=domain,
         fn=lambda pt: count_f1n(x, pt.q - 1),
     )
 
-
-def f1_source(x: MonoidScheme, limit: int) -> fit.SequenceSource:
-    """(#X(F_{1^(n-1)}))_{n=2..limit} over the naturals."""
-    domain = PrimePowerDomain(frozenset(), "naturals_from_2", limit)
-    return fit.SequenceSource(
-        label=f"#({x.label or 'X'})(F_1^(n-1))",
-        domain=domain,
-        fn=lambda pt: count_f1n(x, pt.q - 1),
-    )

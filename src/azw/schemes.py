@@ -222,8 +222,6 @@ def qfiber_envelopes_pell(conic: PellConic) -> tuple[PuiseuxPoly, PuiseuxPoly]:
 
 def _source(label: str, domain: PrimePowerDomain, kernel, arg) -> fit.SequenceSource:
     """kernel(arg, p, m) at every point p^m of the domain, unchecked."""
-    if domain.kind == "naturals_from_2":
-        raise ValueError("family counts live on prime-based domains")
     return fit.SequenceSource(label, domain, lambda pt: kernel(arg, pt.p, pt.m))
 
 

@@ -10,8 +10,8 @@ from azw.arith import (
     factorize,
     iroot,
     is_prime,
+    is_prime_power,
     isqrt,
-    isqrt_ceil,
     legendre,
     sieve,
 )
@@ -28,15 +28,6 @@ def test_isqrt_envelope_sweep():
     for n in range(10**6 + 1):
         s = isqrt(n)
         assert s * s <= n < (s + 1) * (s + 1)
-
-
-def test_isqrt_ceil():
-    assert isqrt_ceil(0) == 0
-    assert isqrt_ceil(16) == 4
-    assert isqrt_ceil(17) == 5
-    for n in range(1, 5000):
-        s = isqrt_ceil(n)
-        assert (s - 1) * (s - 1) < n <= s * s
 
 
 def test_iroot_random():
@@ -87,10 +78,6 @@ def test_enumerate_examples():
     assert [pt.q for pt in d2.points] == [3, 5, 7, 9]
     d3 = PrimePowerDomain(frozenset(), "primes_only", 10)
     assert [pt.q for pt in d3.points] == [2, 3, 5, 7]
-    d4 = PrimePowerDomain(frozenset(), "naturals_from_2", 6)
-    assert [(pt.q, pt.p, pt.m) for pt in d4.points] == [
-        (2, None, None), (3, None, None), (4, None, None), (5, None, None), (6, None, None),
-    ]
 
 
 def test_domain_points_follow_a_replaced_excluded_set():
@@ -135,9 +122,18 @@ def test_domain_validation():
     with pytest.raises(ValueError):
         PrimePowerDomain(frozenset({4}), "prime_powers", 10)
     with pytest.raises(ValueError):
-        PrimePowerDomain(frozenset({2}), "naturals_from_2", 10)
-    with pytest.raises(ValueError):
         PrimePowerDomain(frozenset(), "everything", 10)
+    with pytest.raises(ValueError, match="^unknown domain kind 'naturals_from_2'$"):
+        PrimePowerDomain(frozenset(), "naturals_from_2", 10)
+
+
+def test_is_prime_power_against_factorize():
+    for q in range(-20, 5000):
+        assert is_prime_power(q) == (q >= 2 and len(factorize(q)) == 1), q
+    for p, m in ((2, 127), (3, 40), (10007, 5), (1000003, 3)):
+        assert is_prime_power(p**m)
+        assert not is_prime_power(p**m * (3 if p == 2 else 2))
+    assert not is_prime_power(6**40)
 
 
 def test_factorize():

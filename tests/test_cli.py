@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import io
 import json
+import os
+import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 
@@ -9,6 +11,7 @@ import pytest
 from hypothesis import event, given
 from hypothesis import strategies as st
 
+import azw
 from azw import arith, cli, fit, monoid
 from azw.arith import PrimePowerDomain
 from azw.puiseux import format_puiseux, parse_puiseux
@@ -70,6 +73,35 @@ def test_monoid_subcommands(tmp_path, capsys):
     assert rows[3] == "2,2,4,5"
     code, out, _ = run_cli(capsys, "monoid", "zeta", "--in", str(path))
     assert "zeta ceiling: 1 / (s (s-1))" in out
+
+
+def azw_process(*args, stdout=subprocess.PIPE):
+    """`python -m azw.cli args` in a child, importing this package."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(azw.__file__)))
+    argv = [sys.executable, "-m", "azw.cli", *args]
+    return subprocess.Popen(argv, stdout=stdout, stderr=subprocess.PIPE, env=env)
+
+
+@pytest.mark.parametrize("early", [True, False], ids=["closed-after-10-bytes", "closed-before-start"])
+def test_a_closed_reader_is_not_bad_input(tmp_path, early):
+    """`azw ... | head -c 10`: the run ends with 141, as a shell reports a
+    SIGPIPE death, with no error: line and no traceback at shutdown.  A
+    reader gone before the first write (a short output, left in the buffer
+    until exit) ends the same way."""
+    path = tmp_path / "p1.json"
+    monoid.save_scheme(monoid.projective_space(1), str(path))
+    if early:  # about 200 kB of rows, far past a pipe's buffer
+        proc = azw_process("monoid", "counts", "--in", str(path), "--limit", "100000")
+        assert len(proc.stdout.read(10)) == 10
+        proc.stdout.close()
+    else:
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        proc = azw_process("monoid", "zeta", "--in", str(path), stdout=write_end)
+        os.close(write_end)
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")
 
 
 def test_family_counts_csv(capsys):

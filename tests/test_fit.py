@@ -117,12 +117,6 @@ def test_reject_linear_family_elliptic():
     assert reports[0].ceiling.violation.n == 5
 
 
-def test_reject_linear_family_rejects_naturals():
-    src = monoid.f1_source(monoid.projective_space(1), 50)
-    with pytest.raises(ValueError):
-        fit.reject_linear_family(src, 0, 1)
-
-
 def test_search_an3():
     src = schemes.an_source(3, PrimePowerDomain(frozenset(), "prime_powers", 2000))
     rep = fit.search_polynomial(src, 1, -5, 5, 3)
@@ -367,15 +361,13 @@ LIFTS = (0, 2**62 - 1, 1 - 2**62)
 
 
 @st.composite
-def integer_sources(
-    draw, kinds=("prime_powers", "primes_only", "naturals_from_2"), coeffs=None, noise=2, lift=None
-):
+def integer_sources(draw, coeffs=None, noise=2, lift=None):
     """The floor of a polynomial (small integer coefficients unless `coeffs`
     are given) plus per-point noise in [-noise, noise], so that envelopes in
     small boxes both exist and fail.  The counts from a drawn point on are
     lifted by a drawn value of LIFTS, or from the first point on by `lift`."""
-    kind = draw(st.sampled_from(kinds))
-    excluded = frozenset() if kind == "naturals_from_2" else draw(st.sets(st.sampled_from([2, 3, 5])))
+    kind = draw(st.sampled_from(["prime_powers", "primes_only"]))
+    excluded = draw(st.sets(st.sampled_from([2, 3, 5])))
     dom = PrimePowerDomain(excluded, kind, draw(st.integers(2, 60)))
     qs = [pt.q for pt in dom.points]
     if coeffs is None:
@@ -430,7 +422,7 @@ def test_search_matches_one_scan_per_candidate(src, degree_width, lo, threshold,
 
 
 @given(
-    integer_sources(kinds=("prime_powers", "primes_only")),
+    integer_sources(),
     st.integers(-6, 3),
     st.integers(0, 8),
     st.integers(0, 4),
@@ -457,7 +449,7 @@ def decide_each(src, c_lo, c_hi, threshold):
 
 
 @given(
-    integer_sources(kinds=("prime_powers", "primes_only"), coeffs=[0, 1]),
+    integer_sources(coeffs=[0, 1]),
     st.sampled_from(LIFTS),
     st.integers(-4, 2),
     st.integers(0, 8),

@@ -4,6 +4,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from azw import fit, monoid
 from azw.acceptance import random_scheme
@@ -29,6 +31,47 @@ def test_torsion_canonicalization():
         MonoidSchemePoint(0, (0,))
     with pytest.raises(ValueError):
         MonoidSchemePoint(-1)
+
+
+def reference_chain(entries) -> tuple[int, ...]:
+    """The invariant factors of prod Z/t by factoring every entry: each
+    prime's exponents, sorted, are dealt out from the largest factor down."""
+    by_prime: dict[int, list[int]] = {}
+    for t in entries:
+        for p, e in factorize(t):
+            by_prime.setdefault(p, []).append(e)
+    for exps in by_prime.values():
+        exps.sort(reverse=True)
+    length = max((len(v) for v in by_prime.values()), default=0)
+    chain = [
+        math.prod(p ** exps[k] for p, exps in by_prime.items() if k < len(exps))
+        for k in range(length)
+    ]
+    return tuple(reversed(chain))
+
+
+# entries that share primes (products of small primes) and entries that do not
+torsion_entries = st.lists(
+    st.one_of(
+        st.builds(math.prod, st.lists(st.sampled_from([2, 3, 5, 7]), max_size=8)),
+        st.integers(1, 10**6),
+    ),
+    max_size=6,
+)
+
+
+@given(torsion_entries)
+def test_gcd_lcm_chain_is_the_factored_chain(entries):
+    chain = monoid._invariant_chain(entries)
+    assert chain == reference_chain(entries)
+    assert all(b % a == 0 for a, b in zip(chain, chain[1:]))
+    assert math.prod(chain) == math.prod(entries)
+
+
+def test_a_large_torsion_entry_is_not_factored():
+    big = 10**36 + 7
+    assert MonoidSchemePoint(1, (big,)).torsion == (big,)
+    assert MonoidSchemePoint(0, (2 * big, 3 * big, 1)).torsion == (big, 6 * big)
 
 
 def test_canonicalization_preserves_counts():
@@ -180,9 +223,27 @@ def test_verify_integration_p1():
     assert vf.verified
 
 
-def test_f1_source_runs_on_naturals():
-    src = monoid.f1_source(F13, 50)
-    vals = dict((pt.q, a) for pt, a in src.values())
-    assert vals[2] == 1 and vals[4] == 3 and vals[7] == 3
-    v = fit.verify_ceiling(PuiseuxPoly.constant(3), src, 3)
-    assert v.verified
+@pytest.mark.parametrize(
+    "x",
+    [
+        monoid.spec_f1n(6),
+        monoid.affine_space(2),
+        monoid.projective_space(3),
+        monoid.product(monoid.projective_space(1), monoid.spec_f1n(4)),
+        monoid.disjoint_union(F13, GM, monoid.spec_f1n(2)),
+    ],
+    ids=lambda x: x.label,
+)
+def test_f1_envelopes_are_the_brute_max_and_min(x):
+    """On n = 2..N the sequence #X(F_{1^(n-1)}) stays between the two
+    envelopes and meets each at least three times."""
+    ceiling, floor = (
+        [(int(c), int(e)) for c, e in f.terms] for f in monoid.f1_ceiling_floor(x)
+    )
+    above, below = [], []
+    for n in range(2, 200):
+        a = monoid.count_f1n(x, n - 1)
+        above.append(a - sum(c * n**e for c, e in ceiling))
+        below.append(a - sum(c * n**e for c, e in floor))
+    assert max(above) == 0 and above.count(0) >= 3
+    assert min(below) == 0 and below.count(0) >= 3

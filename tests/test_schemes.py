@@ -175,15 +175,7 @@ def test_counts_refuse_composite_and_bad_p_and_m_below_1(name):
             count(7, 0)
 
 
-def test_family_sources_refuse_naturals_and_small_n():
-    naturals = PrimePowerDomain(frozenset(), "naturals_from_2", 50)
-    for build in (
-        lambda: schemes.an_source(3, naturals),
-        lambda: schemes.gn_source(5, naturals),
-        lambda: schemes.pell_source(PellConic(5), naturals),
-    ):
-        with pytest.raises(ValueError, match="prime-based domains"):
-            build()
+def test_family_sources_refuse_small_n():
     dom = PrimePowerDomain(frozenset(), "prime_powers", 50)
     with pytest.raises(ValueError, match="^n must be >= 1$"):
         schemes.an_source(0, dom)
