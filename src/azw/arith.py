@@ -204,8 +204,6 @@ def _is_irreducible(coeffs: tuple[int, ...], p: int) -> bool:
     """Irreducibility of the monic polynomial x^m + sum coeffs[i] x^i over F_p."""
     m = len(coeffs)
     poly = list(coeffs) + [1]
-    if coeffs[0] == 0:  # divisible by x
-        return False
     for a in range(p):  # root check kills every reducible of degree <= 3
         acc = 0
         for c in reversed(poly):
@@ -231,8 +229,8 @@ class SmallField:
     `elements()` lists all q columns in code order, so the zero element is
     column 0 and the one element is column 1.  The modulus is the first
     irreducible monic polynomial in lexicographic order of its lower
-    coefficients, so field construction is deterministic.  Meant for
-    exhaustive point counting.
+    coefficients (constant term 0 skipped: x divides it), so field
+    construction is deterministic.  Meant for exhaustive point counting.
     """
 
     def __init__(self, p: int, m: int, bound: int = ORACLE_FIELD_BOUND):
@@ -258,9 +256,11 @@ class SmallField:
     def _find_modulus(self) -> tuple[int, ...]:
         if self.m == 1:
             return (0,)
-        for coeffs in itertools.product(range(self.p), repeat=self.m):
-            if _is_irreducible(coeffs, self.p):
-                return coeffs
+        # c0 = 0 (a multiple of x) is skipped; c0 varies slowest, so the order holds
+        for c0 in range(1, self.p):
+            for rest in itertools.product(range(self.p), repeat=self.m - 1):
+                if _is_irreducible((c0, *rest), self.p):
+                    return (c0, *rest)
         raise RuntimeError(f"no irreducible modulus for p={self.p}, m={self.m}")
 
     def from_int(self, n: int) -> np.ndarray:

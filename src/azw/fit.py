@@ -257,8 +257,8 @@ def _scan(
 
 
 def _interval(f: PuiseuxPoly, n: int) -> str:
-    """f(n) as its certified 64-bit interval."""
-    lo, hi, den = f._bounds(n, 64)
+    """f(n) as its certified interval at 64 + bit_length(N) bits, N/d the top exponent."""
+    lo, hi, den = f._bounds(n, 64 + f._compiled[3].bit_length())
     return f"[{_decimal(lo, den)}, {_decimal(hi, den)}]"
 
 

@@ -1,10 +1,13 @@
 import dataclasses
+import itertools
 import random
 
 import numpy as np
 import pytest
 
+from azw import elliptic, schemes
 from azw.arith import (
+    ORACLE_FIELD_BOUND,
     PrimePowerDomain,
     build_field,
     factorize,
@@ -264,3 +267,81 @@ def test_unit_group_cyclic():
             powers.add(int(f.code(w)[0]))
             w = f.mul(w, g)
         assert powers == set(range(1, q)), (p, m)
+
+
+# --- the modulus search and the oracles against plain-int references -----------
+
+
+def _remainder(num: list[int], den: list[int], p: int) -> list[int]:
+    """num mod the monic den over F_p, as a plain-int long division."""
+    num = list(num)
+    dn = len(den) - 1
+    for top in range(len(num) - 1, dn - 1, -1):
+        c = num[top] % p
+        for i, coeff in enumerate(den):
+            num[top - dn + i] -= c * coeff
+    return [c % p for c in num[:dn]]
+
+
+def _irreducible_by_trial_division(coeffs: tuple[int, ...], p: int) -> bool:
+    """x^m + sum coeffs[i] x^i has no monic divisor of degree 1 .. m // 2."""
+    poly = list(coeffs) + [1]
+    return all(
+        any(_remainder(poly, list(lower) + [1], p))
+        for d in range(1, len(coeffs) // 2 + 1)
+        for lower in itertools.product(range(p), repeat=d)
+    )
+
+
+def _first_irreducible(p: int, m: int) -> tuple[int, ...]:
+    """The lexicographically first irreducible over all lower coefficients, c0 = 0 included."""
+    return next(c for c in itertools.product(range(p), repeat=m) if _irreducible_by_trial_division(c, p))
+
+
+def test_modulus_is_the_first_irreducible_in_lexicographic_order():
+    fields = [(p, m) for p in sieve(ORACLE_FIELD_BOUND) for m in range(2, 15) if p**m <= ORACLE_FIELD_BOUND]
+    assert len(fields) == 75
+    for p, m in fields:
+        assert build_field(p, m).modulus == _first_irreducible(p, m), (p, m)
+
+
+def _tables(p: int, m: int) -> tuple[list[list[int]], list[list[int]]]:
+    """Addition and multiplication tables of F_{p^m} on element codes, by
+    digit sums and _schoolbook_mul modulo the reference modulus."""
+    q = p**m
+    modulus = _first_irreducible(p, m) if m > 1 else (0,)
+    digits = [_digits(n, p, m) for n in range(q)]
+
+    def code(ds: list[int]) -> int:
+        return sum(c * p**k for k, c in enumerate(ds))
+
+    add = [[code([(x + y) % p for x, y in zip(a, b)]) for b in digits] for a in digits]
+    mul = [[code(_schoolbook_mul(a, b, modulus, p)) for b in digits] for a in digits]
+    return add, mul
+
+
+ORACLE_QS = ((2, 1), (2, 2), (2, 3), (3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2))
+
+
+def test_oracles_match_a_double_loop_over_the_field():
+    # an element of F_p has code n mod p, so the scalars are those codes
+    discs = [d for d in range(-20, 21) if d and d % 4 in (0, 1)]
+    curves = (elliptic.FIXTURE_CURVES[4], elliptic.FIXTURE_CURVES[1])  # y^2=x^3-x+1, y^2=x^3+x
+    for p, m in ORACLE_QS:
+        add, mul = _tables(p, m)
+        pairs = list(itertools.product(range(p**m), repeat=2))
+        for d in discs:
+            if d % 4 == 0:  # x^2 - (D/4) y^2 = 1
+                c = -(d // 4) % p
+                want = sum(add[mul[x][x]][mul[c][mul[y][y]]] == 1 for x, y in pairs)
+            else:  # x^2 + xy + ((1 - D)/4) y^2 = 1
+                c = (1 - d) // 4 % p
+                want = sum(add[add[mul[x][x]][mul[x][y]]][mul[c][mul[y][y]]] == 1 for x, y in pairs)
+            assert schemes.count_pell_oracle(schemes.PellConic(d), p, m) == want, (d, p, m)
+        for curve in curves:
+            if p in curve.bad_primes:
+                continue
+            a, b = curve.a % p, curve.b % p
+            rhs = [add[add[mul[mul[x][x]][x]][mul[a][x]]][b] for x in range(p**m)]
+            want = 1 + sum(mul[y][y] == rhs[x] for x, y in pairs)
+            assert elliptic.count_extension_oracle(curve, p, m) == want, (curve.label, p, m)

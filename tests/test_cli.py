@@ -384,16 +384,16 @@ def test_a_violation_past_the_float_range_prints_its_interval(capsys):
         capsys, "fit", "verify", "--source", "An:n=3", "--candidate", "t^{2101/2}", "--limit", "50", "--mode", "floor"
     )
     lo = (
-        "17061234216813641350199254534114669902149569688078991908986985525651886923749600448747333762644976967235"
-        "748433579231381816901089527972212850015398636675666068116779887708574677694356543159577917854778476360518"
-        "280466895443294288421953470445591691931055689242866885732993124237855889495305310273658791853453164067755"
-        "573.905598"
+        "170612342168136423106236372398581489848591581508430444299008014091603000065194486475450658857953049435361"
+        "088862614301040787908686370559482690495353810947900266210728922633328586468250307089886834936726402743188"
+        "695164612470528841523876116313126701070017221299509741792245420813870086807842836837132983003504424397770"
+        "38.305074"
     )
     hi = (
-        "17061234216813642724246852006250659418642417364195492763436168217564836261852793396885330571100017922363"
-        "596554304710758494837542952352962056020015927527620950514032748715708720999372740654800551974306475715375"
-        "428673205878630538633820913621343974831708805662234307650525752562753069877714597534296756906172397133117"
-        "926.347418"
+        "170612342168136423109590980790847446908010939075947484504486891617471014726726795156525747802431121580966"
+        "212955184510918903646219227008396505793857539320168199955456228832134352753411111606386487857703385132594"
+        "388436763751006812662132023003982808355800248418087405555425102678225565192079366913309422144491835320085"
+        "16.774201"
     )
     assert code == 2 and err == ""
     assert out == (

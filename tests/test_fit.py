@@ -290,8 +290,8 @@ def certified_scan(f, src, mode, threshold, puiseux_mode=False):
     point: the bound must hold at each point up to the first violation, and a
     witness is f(q) = A_q, or in puiseux mode floor(f(q)) = A_q (ceiling) or
     ceil(f(q)) = A_q (floor).  A violation prints f(q) exactly when f is
-    ordinary and as its 64-bit interval otherwise, each end rounded by
-    Fraction to six decimals."""
+    ordinary and otherwise as its interval 64 bits past the top exponent's
+    bit length, each end rounded by Fraction to six decimals."""
 
     def verdict(status, witnesses=(), violation=None):
         return fit.Verdict(
@@ -309,7 +309,7 @@ def certified_scan(f, src, mode, threshold, puiseux_mode=False):
             if f.exponent_denominator == 1:
                 value = str(eval_exact(f, q))
             else:
-                low, high, den = f._bounds(q, 64)
+                low, high, den = f._bounds(q, 64 + f._compiled[3].bit_length())
                 value = f"[{six_decimals(Fraction(low, den))}, {six_decimals(Fraction(high, den))}]"
             return verdict(BOUND_VIOLATED, witnesses, fit.Violation(q, count, value))
         if (lo if mode == "ceiling" else hi) == count and (puiseux_mode or lo == hi):
@@ -639,11 +639,27 @@ def test_half_integer_offsets_at_the_int64_bound(text, even, odd, dtype):
     st.integers(-9, 9), st.integers(-9, 9), st.integers(-50, 50), st.integers(1, 4), st.integers(1, 30000)
 )
 def test_interval_text_is_the_float_text(a, b, c, den, q):
-    # below 2^53 the ends print as a float printed them, and as Fraction rounds them
+    # below 2^53 the ends print as a float printed them, and as Fraction rounds
+    # them; the top term t = t^{2/2} takes 64 + bit_length(2) bits
     f = PuiseuxPoly([(Fraction(a, den), 1), (Fraction(b, den), Fraction(1, 2)), (Fraction(c, den), 0)])
-    lo, hi, scale = f._bounds(q, 64)
+    lo, hi, scale = f._bounds(q, 66)
     assert fit._interval(f, q) == f"[{lo / scale:.6f}, {hi / scale:.6f}]"
     assert fit._interval(f, q) == f"[{six_decimals(Fraction(lo, scale))}, {six_decimals(Fraction(hi, scale))}]"
+
+
+@pytest.mark.parametrize("text, k", [("t^{2101/2}", 2101), ("t^{1/2}", 1)])
+def test_violation_interval_is_as_tight_at_a_high_top_exponent(monkeypatch, text, k):
+    # the interval behind the text brackets 2^(k/2) and its relative width
+    # stays below 2^-60 at k = 2101, where 64 bits left it near 2^-53
+    seen = []
+    bounds = PuiseuxPoly._bounds
+    monkeypatch.setattr(PuiseuxPoly, "_bounds", lambda f, q, bits: seen.append(bounds(f, q, bits)) or seen[-1])
+    f = parse_puiseux(text)
+    printed = fit._interval(f, 2)
+    ((lo, hi, den),) = seen
+    assert 0 < lo < hi and lo * lo <= 2**k * den * den <= hi * hi
+    assert (hi - lo) * 2**60 < lo
+    assert printed == f"[{fit._decimal(lo, den)}, {fit._decimal(hi, den)}]"
 
 
 @pytest.mark.parametrize(
