@@ -221,7 +221,8 @@ def criterion_04() -> CriterionResult:
     env_checks = 0
     for d in discs:
         conic = schemes.PellConic(d)
-        for s in (frozenset(), frozenset({2}), conic.bad_primes, conic.bad_primes | {2}):
+        bad = frozenset(p for p in primes_97 if d % p == 0)  # every prime of D, as |D| <= 50
+        for s in (frozenset(), frozenset({2}), bad, bad | {2}):
             src = schemes.pell_source(conic, domain(s, PELL_LIMIT))
             ceiling, floor = schemes.envelopes_pell(conic, s)
             for mode, check, poly in (

@@ -233,13 +233,13 @@ class SmallField:
     construction is deterministic.  Meant for exhaustive point counting.
     """
 
-    def __init__(self, p: int, m: int, bound: int = ORACLE_FIELD_BOUND):
+    def __init__(self, p: int, m: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
         if m < 1:
             raise ValueError("extension degree must be >= 1")
-        if p**m > bound:
-            raise ValueError(f"field size {p**m} exceeds oracle bound {bound}")
+        if p**m > ORACLE_FIELD_BOUND:
+            raise ValueError(f"field size {p**m} exceeds oracle bound {ORACLE_FIELD_BOUND}")
         self.p = p
         self.m = m
         self.order = p**m
@@ -316,6 +316,6 @@ class SmallField:
         return acc
 
 
-def build_field(p: int, m: int, bound: int = ORACLE_FIELD_BOUND) -> SmallField:
-    """F_{p^m} for oracle use, of any degree m >= 1 and size at most bound."""
-    return SmallField(p, m, bound)
+def build_field(p: int, m: int) -> SmallField:
+    """F_{p^m} for oracle use, of any degree m >= 1 and size at most ORACLE_FIELD_BOUND."""
+    return SmallField(p, m)

@@ -6,10 +6,12 @@ at least witness_threshold points.  Every verdict records the scanned limit,
 the threshold and the excluded primes, so a 'verified' is always a statement
 about a declared finite scan, never a proof.
 
-An ordinary candidate f = (c + rest)/L (integer exponents; c, L integers) is
-decided exactly from the offsets D_q = L*A_q - rest(q) by _decide, and one
-with exponent denominator 2 from such offsets less one exact integer square
-root per point (_roots).  Envelopes of Frobenius eigenvalues, of absolute
+_compile writes a candidate in integers, once per scan.  An ordinary
+candidate f = (c + rest)/L (integer exponents; c, L integers) is decided
+exactly from the offsets D_q = L*A_q - rest(q) by _decide, and one with
+exponent denominator 2 from such offsets less one exact integer square root
+per point (_roots); its violation prints _interval, the scalar form of that
+root taken 64 bits deeper.  Envelopes of Frobenius eigenvalues, of absolute
 value q^(w/2), have exponents in (1/2)Z, and a candidate with a larger
 exponent denominator is refused.  The offsets hold one power of q for each
 nonzero term of f, and a candidate whose top term is too large to write
@@ -22,6 +24,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
 from fractions import Fraction
+from functools import partial
 from itertools import accumulate
 from typing import Callable, Optional
 
@@ -197,14 +200,14 @@ def _decide(
     c: int,
     scale: int,
     puiseux_mode: bool,
-    certified: Optional[PuiseuxPoly] = None,
+    interval: Optional[Callable[[int], tuple[int, int, int]]] = None,
 ) -> Verdict:
     """The verdict for f = (c + rest)/scale from the offsets
     D_q = scale*A_q - rest(q) of src's points.  The bound fails at the first
     D_q > c (ceiling) or D_q < c (floor); before it a witness is D_q = c, or
     in puiseux mode c - scale < D_q (ceiling) or D_q < c + scale (floor).
-    A violation gives f's exact value, or the certified interval of
-    `certified` at its point."""
+    A violation gives f's exact value, or the ends lo/den, hi/den that
+    interval(n) gives at its point."""
     fails = offsets > c if mode == "ceiling" else offsets < c
     stop = int(fails.argmax()) if fails.any() else len(offsets)
     window = scale if puiseux_mode else 1
@@ -215,12 +218,23 @@ def _decide(
     violation = None
     if stop < len(offsets):
         n, count = int(qs[stop]), int(src.counts[stop])
-        if certified is None:
+        if interval is None:
             value = str(Fraction(scale * count - int(offsets[stop]) + c, scale))
         else:
-            value = _interval(certified, n)
+            lo, hi, den = interval(n)
+            value = f"[{_decimal(lo, den)}, {_decimal(hi, den)}]"
         violation = Violation(n, count, value)
     return _verdict(src, mode, witness_threshold, witnesses, violation, puiseux_mode)
+
+
+def _compile(f: PuiseuxPoly):
+    """f's integer form (d, L, ((A_n, n), ...), N): f(q) = (1/L) sum A_n q^(n/d)
+    with n descending from the top N, d and L the least common denominators of
+    the exponents and of the coefficients ((1, 1, (), 0) for f = 0)."""
+    d = math.lcm(*[e.denominator for _, e in f.terms])
+    lcd = math.lcm(*[c.denominator for c, _ in f.terms])
+    ints = tuple([(c.numerator * (lcd // c.denominator), e.numerator * (d // e.denominator)) for c, e in f.terms])
+    return d, lcd, ints, ints[0][1] if ints else 0
 
 
 def _scan(
@@ -230,14 +244,14 @@ def _scan(
     witness_threshold: int,
     puiseux_mode: bool,
 ) -> Verdict:
-    d, scale, terms, top = f._compiled  # f(q) = (1/scale) sum a q^(n/d), n descending
+    d, scale, terms, top = _compile(f)  # f(q) = (1/scale) sum a q^(n/d), n descending
     if d > 2:
         e = next(e for _, e in f.terms if e.denominator > 2)
         raise ValueError(
             f"candidate term t^{{{e}}} has exponent denominator {e.denominator}:"
             " fit decides exponents in (1/2)Z only"
         )
-    if puiseux_mode and not f.value_at_one()[1]:
+    if puiseux_mode and sum(a for a, _ in terms) % scale:  # f(1) is not an integer
         verdict = _verdict(src, mode, witness_threshold, puiseux_mode=True)
         return replace(verdict, status=NON_INTEGRAL_AT_ONE)
     q_max = int(src.domain.qs.max(initial=1))
@@ -253,13 +267,24 @@ def _scan(
     even = [(2 * a, n // 2) for a, n in terms if n and n % 2 == 0]
     odd = [(a, n // 2) for a, n in terms if n % 2]
     offsets = _offsets(src, [k for _, k in even], [[a for a, _ in even]], 2 * scale, odd)[0]
-    return _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode, f)
+    interval = partial(_interval, terms, scale)
+    return _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode, interval)
 
 
-def _interval(f: PuiseuxPoly, n: int) -> str:
-    """f(n) as its certified interval at 64 + bit_length(N) bits, N/d the top exponent."""
-    lo, hi, den = f._bounds(n, 64 + f._compiled[3].bit_length())
-    return f"[{_decimal(lo, den)}, {_decimal(hi, den)}]"
+def _interval(terms, scale: int, n: int) -> tuple[int, int, int]:
+    """Integers lo, hi, den with lo/den <= f(n) <= hi/den and hi - lo <= 1,
+    for f(q) = (1/scale) sum a q^(k/2) over the pairs (a, k) of terms.
+    f(n) = (W + y)/scale, W the sum of the terms of even k and y = P(n) sqrt(n)
+    that of the others; one isqrt of P(n)^2 n 4^64, the scalar form of
+    _roots, is floor(|y| 2^64), and lo == hi where it is exact."""
+    whole = sum(a * n ** (k // 2) for a, k in terms if k % 2 == 0) << 64
+    p = sum(a * n ** (k // 2) for a, k in terms if k % 2)
+    square = p * p * n << 128
+    y_lo = math.isqrt(square)
+    y_hi = y_lo + (y_lo * y_lo != square)
+    if p < 0:
+        y_lo, y_hi = -y_hi, -y_lo
+    return whole + y_lo, whole + y_hi, scale << 64
 
 
 def _decimal(num: int, den: int) -> str:

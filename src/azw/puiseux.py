@@ -6,13 +6,9 @@ only where an exponent repeats, and recomputes d over the terms that
 survive; Fractions are built for those terms alone.  zeta.FormalProduct
 keys its roots the same way.
 
-Each polynomial is compiled once into integers: f(q) = (1/L) * sum A_n *
-rho^n, where rho = q^(1/d) (positive real branch) and d, L are the common
-exponent and coefficient denominators.  fit decides its candidates from these
-integers, for exponents in (1/2)Z only.  _bounds(q, b) brackets f(q) between
-two integers over one denominator from one integer root R = floor(rho * 2^b):
-each term lies between (R/2^b)^n and ((R+1)/2^b)^n, and R^d = radicand makes
-the bounds meet.  It prints the interval of a violated half-integer candidate.
+A PuiseuxPoly holds exact algebra and text only.  fit._compile writes a
+candidate in integers, and fit decides and prints it from them; the tests'
+certified evaluator (tests/certified.py) brackets f(q) from the same form.
 """
 
 from __future__ import annotations
@@ -21,8 +17,6 @@ import math
 import numbers
 import re
 from fractions import Fraction
-
-from .arith import iroot
 
 
 def _rational(x):
@@ -64,28 +58,16 @@ class PuiseuxPoly:
     """Immutable canonical form: terms (coeff, exponent) by decreasing exponent,
     no zero coefficients, exponents distinct and >= 0."""
 
-    __slots__ = ("terms", "_compiled")
+    __slots__ = ("terms",)
 
     def __init__(self, terms=()):
-        d, kept = canonical_terms(terms, descending=True, nonnegative=True)
+        _, kept = canonical_terms(terms, descending=True, nonnegative=True)
         object.__setattr__(self, "terms", tuple([(c, e) for _, e, c in kept]))
-        # (d, L, ((A_n, n), ...), N): f(q) = (1/L) sum A_n q^(n/d), N the top n
-        lcd = math.lcm(*[c.denominator for _, _, c in kept])
-        ints = tuple([(c.numerator * (lcd // c.denominator), n) for n, _, c in kept])
-        object.__setattr__(self, "_compiled", (d, lcd, ints, ints[0][1] if ints else 0))
 
     def __setattr__(self, *_):
         raise AttributeError("PuiseuxPoly is immutable")
 
     # --- construction helpers -------------------------------------------
-
-    @classmethod
-    def zero(cls) -> "PuiseuxPoly":
-        return cls()
-
-    @classmethod
-    def constant(cls, c) -> "PuiseuxPoly":
-        return cls([(c, 0)])
 
     @classmethod
     def t_power(cls, e, coeff=1) -> "PuiseuxPoly":
@@ -119,50 +101,12 @@ class PuiseuxPoly:
     def __repr__(self):
         return f"PuiseuxPoly({format_puiseux(self)!r})"
 
-    # --- structure --------------------------------------------------------
-
-    @property
-    def exponent_denominator(self) -> int:
-        """Least common denominator d of all exponents (1 for the zero poly)."""
-        return self._compiled[0]
+    # --- value --------------------------------------------------------------
 
     def value_at_one(self) -> tuple[Fraction, bool]:
-        """Sum of coefficients, and whether it is an integer: (1/L) sum A_n."""
-        _, lcd, ints, _ = self._compiled
-        s = sum(a for a, _ in ints)
-        return Fraction(s, lcd), s % lcd == 0
-
-    # --- certified interval ----------------------------------------------
-
-    def _bounds(self, q: int, bits: int) -> tuple[int, int, int]:
-        """Integers lo, hi, den with lo/den <= f(q) <= hi/den, from
-        R = floor(q^(1/d) * 2^bits); lo == hi exactly when q is a perfect
-        d-th power, which for d = 1 is every q."""
-        d, den, terms, top = self._compiled
-        radicand = q << (d * bits)
-        r = iroot(radicand, d)
-        if r**d == radicand:  # rho = r / 2^bits exactly
-            v = 0
-            for a, n in terms:
-                v += a * r**n << bits * (top - n)
-            return v, v, den << bits * top
-        lo = hi = 0
-        for a, n in terms:
-            if n % d == 0:
-                v = a * q ** (n // d) << bits * top
-                lo += v
-                hi += v
-                continue
-            shift = bits * (top - n)
-            below = a * r**n << shift
-            above = a * (r + 1) ** n << shift
-            if a > 0:
-                lo += below
-                hi += above
-            else:
-                lo += above
-                hi += below
-        return lo, hi, den << bits * top
+        """Sum of coefficients, and whether it is an integer."""
+        s = sum([c for c, _ in self.terms], Fraction(0))
+        return s, s.denominator == 1
 
 
 def binomial_terms(t_factor: int, r: int) -> list[tuple[int, int]]:

@@ -8,7 +8,7 @@ kernels, since the points of a validated domain have only prime bases.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ from .arith import (
     ORACLE_FIELD_BOUND,
     PrimePowerDomain,
     build_field,
-    factorize,
     is_prime,
     isqrt,
 )
@@ -126,16 +125,12 @@ class PellConic:
     D = 1 mod 4; other discriminants do not define an integral conic."""
 
     disc: int
-    bad_primes: frozenset[int] = field(init=False)
 
     def __post_init__(self):
         if self.disc == 0:
             raise ValueError("discriminant must be nonzero")
         if self.disc % 4 not in (0, 1):
             raise ValueError(f"discriminant {self.disc} not 0 or 1 mod 4")
-        object.__setattr__(
-            self, "bad_primes", frozenset(p for p, _ in factorize(self.disc))
-        )
 
     @property
     def is_square(self) -> bool:
@@ -163,15 +158,14 @@ def count_pell(conic: PellConic, p: int, m: int) -> int:
 def count_pell_oracle(conic: PellConic, p: int, m: int) -> int:
     """Exhaustive solution count of the defining equation over F_{p^m}.
 
-    For p = 2 the left side is evaluated on the whole (x, y) grid.  For odd p
-    the x-side is folded through a square-occurrence table built by squaring
+    For p = 2 the left side is evaluated on the whole (x, y) grid, which is
+    refused when its q^2 points pass ORACLE_FIELD_BOUND.  For odd p the
+    x-side is folded through a square-occurrence table built by squaring
     every element once (completing the square for odd discriminants), which
     visits every solution without using quadratic characters.
     """
-    if m > 3:
-        raise ValueError("oracle supports m <= 3")
-    if p**m > ORACLE_FIELD_BOUND:
-        raise ValueError(f"oracle bound {ORACLE_FIELD_BOUND} exceeded")
+    if p == 2 and 4**m > ORACLE_FIELD_BOUND:
+        raise ValueError(f"oracle grid of (2^{m})^2 points exceeds oracle bound {ORACLE_FIELD_BOUND}")
     d = conic.disc
     fld = build_field(p, m)
     z = fld.elements()
@@ -195,14 +189,20 @@ def count_pell_oracle(conic: PellConic, p: int, m: int) -> int:
 
 
 def envelopes_pell(conic: PellConic, excluded=frozenset()) -> tuple[PuiseuxPoly, PuiseuxPoly]:
-    """Ceiling by the four-case rule (2t / t+1 / t-1 / t), floor always t-1."""
-    s = frozenset(excluded)
-    odd_bad = conic.bad_primes - {2}
-    if not odd_bad <= s:
+    """Ceiling by the four-case rule (2t / t+1 / t-1 / t), floor always t-1.
+
+    D is not factored: with every excluded prime divided out of |D|, the
+    cofactor r is 1 when every prime of D is excluded, and a power of 2 when
+    every odd one is."""
+    r = abs(conic.disc)
+    for p in excluded:
+        while p > 1 and r % p == 0:
+            r //= p
+    if r & (r - 1):
         ceiling = PuiseuxPoly.t_power(1, 2)  # 2t: a ramified odd prime stays in play
     elif not conic.is_square:
         ceiling = PuiseuxPoly.linear(1)
-    elif conic.bad_primes <= s:
+    elif r == 1:
         ceiling = PuiseuxPoly.linear(-1)
     else:  # even square discriminant with 2 still in play
         ceiling = PuiseuxPoly.t_power(1)

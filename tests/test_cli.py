@@ -2,6 +2,7 @@ import argparse
 import hashlib
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -379,26 +380,24 @@ def test_fit_verify_refuses_a_huge_top_term(capsys, candidate, limit, q_max):
 
 
 def test_a_violation_past_the_float_range_prints_its_interval(capsys):
-    # f(2) = 2^1050.5 is past the largest float; both ends are rounded in integers
+    # f(2) = 2^1050.5 is past the largest float; both ends are that value
+    # rounded half to even at six decimals in integers, which isqrt gives
+    # to eight: floor(2^1050.5 10^8)
     code, out, err = run_cli(
         capsys, "fit", "verify", "--source", "An:n=3", "--candidate", "t^{2101/2}", "--limit", "50", "--mode", "floor"
     )
-    lo = (
-        "170612342168136423106236372398581489848591581508430444299008014091603000065194486475450658857953049435361"
-        "088862614301040787908686370559482690495353810947900266210728922633328586468250307089886834936726402743188"
-        "695164612470528841523876116313126701070017221299509741792245420813870086807842836837132983003504424397770"
-        "38.305074"
+    end = (
+        "170612342168136423108558555846229185465127434332401094147128532271253470073355578233943754501551129076905"
+        "788246307089030207202638300803669539580579539775760893742617686803069647657597064787286346215932712842244"
+        "393991979836822115541306135090955683679272830721948167738721094786170846647996978672998998452923452165842"
+        "77.713988"
     )
-    hi = (
-        "170612342168136423109590980790847446908010939075947484504486891617471014726726795156525747802431121580966"
-        "212955184510918903646219227008396505793857539320168199955456228832134352753411111606386487857703385132594"
-        "388436763751006812662132023003982808355800248418087405555425102678225565192079366913309422144491835320085"
-        "16.774201"
-    )
+    eight = math.isqrt(2 * 4**1050 * 10**16)
+    assert eight % 100 == 85 and end == f"{eight // 10**8}.{eight // 100 % 10**6 + 1:06d}"
     assert code == 2 and err == ""
     assert out == (
         "floor candidate on #A3(F_q): bound_violated (witnesses 0/3, limit 50, excluded {});"
-        f" violated at n=2: count 0 vs f(n)=[{lo}, {hi}]\n"
+        f" violated at n=2: count 0 vs f(n)=[{end}, {end}]\n"
     )
 
 

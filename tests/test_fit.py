@@ -18,7 +18,7 @@ from azw.fit import (
     VERIFIED,
 )
 from azw.puiseux import PuiseuxPoly, parse_puiseux
-from certified import ceil_eval, eval_exact, floor_eval
+from certified import bounds, ceil_eval, eval_exact, floor_eval
 
 E_MX = elliptic.FIXTURE_CURVES[0]
 CEIL_E = parse_puiseux("t + 2t^{1/2} + 1")
@@ -129,8 +129,8 @@ def test_search_an3():
 def test_search_constant_envelopes():
     src = monoid.zlift_source(monoid.spec_f1n(3), PrimePowerDomain(frozenset(), "prime_powers", 2000))
     rep = fit.search_polynomial(src, 0, -5, 5, 3)
-    assert rep.ceiling == (PuiseuxPoly.constant(3),)
-    assert rep.floor == (PuiseuxPoly.constant(1),)
+    assert rep.ceiling == (PuiseuxPoly([(3, 0)]),)
+    assert rep.floor == (PuiseuxPoly([(1, 0)]),)
 
 
 def test_search_elliptic_primes_finds_nothing():
@@ -145,7 +145,7 @@ def test_search_flags_ambiguity_at_tiny_limit():
     # constant 3 and t-1 survive as ceilings, which must raise the flag
     src = monoid.zlift_source(monoid.spec_f1n(3), PrimePowerDomain(frozenset(), "prime_powers", 4))
     rep = fit.search_polynomial(src, 1, -1, 3, 1)
-    assert PuiseuxPoly.constant(3) in rep.ceiling
+    assert PuiseuxPoly([(3, 0)]) in rep.ceiling
     assert parse_puiseux("t - 1") in rep.ceiling
     assert rep.ceiling_ambiguous
 
@@ -290,8 +290,11 @@ def certified_scan(f, src, mode, threshold, puiseux_mode=False):
     point: the bound must hold at each point up to the first violation, and a
     witness is f(q) = A_q, or in puiseux mode floor(f(q)) = A_q (ceiling) or
     ceil(f(q)) = A_q (floor).  A violation prints f(q) exactly when f is
-    ordinary and otherwise as its interval 64 bits past the top exponent's
-    bit length, each end rounded by Fraction to six decimals."""
+    ordinary and otherwise as the interval of certified.bounds at
+    2 * (64 + bit_length(N)) bits, N/2 the top exponent, each end rounded by
+    Fraction to six decimals.  For the small values drawn here that interval
+    is far narrower than a six-decimal digit, so both ends print as f(q)
+    rounded, as fit's do; it is no reference for values of 30 or more digits."""
 
     def verdict(status, witnesses=(), violation=None):
         return fit.Verdict(
@@ -306,10 +309,10 @@ def certified_scan(f, src, mode, threshold, puiseux_mode=False):
         q = pt.q
         lo, hi = floor_eval(f, q), ceil_eval(f, q)
         if count > lo if mode == "ceiling" else count < hi:
-            if f.exponent_denominator == 1:
+            if all(e.denominator == 1 for _, e in f.terms):
                 value = str(eval_exact(f, q))
             else:
-                low, high, den = f._bounds(q, 64 + f._compiled[3].bit_length())
+                low, high, den = bounds(f, q, 2 * (64 + (2 * f.terms[0][1]).numerator.bit_length()))
                 value = f"[{six_decimals(Fraction(low, den))}, {six_decimals(Fraction(high, den))}]"
             return verdict(BOUND_VIOLATED, witnesses, fit.Violation(q, count, value))
         if (lo if mode == "ceiling" else hi) == count and (puiseux_mode or lo == hi):
@@ -550,7 +553,7 @@ def test_verify_matches_reference_scan(src_f, mode, puiseux_mode, threshold, shi
 def assert_verify_matches_certified_scan(src, f, mode, puiseux_mode, threshold, shift=0):
     if shift:  # counts past 2^64, and a candidate moved with them
         src = fit.SequenceSource(src.label, src.domain, lambda pt, fn=src.fn: fn(pt) + shift)
-        f = f + PuiseuxPoly.constant(shift)
+        f = f + PuiseuxPoly([(shift, 0)])
     verify = fit.verify_ceiling if mode == "ceiling" else fit.verify_floor
     got = verify(f, src, threshold, puiseux_mode=puiseux_mode)
     want = certified_scan(f, src, mode, threshold, puiseux_mode)
@@ -595,7 +598,7 @@ def half_integer_sources_and_candidates(draw):
     counts = {pt.q: floor_eval(g, pt.q) + e + lift for pt, e in zip(dom.points, errors)}
     k, e = draw(st.integers(-2, 2)), draw(st.integers(0, 1))
     m = k * den - sum(nums) % den + e  # f(1) is an integer unless e = 1 < L
-    f = g + PuiseuxPoly.constant(Fraction(m, den) + lift)
+    f = g + PuiseuxPoly([(Fraction(m, den) + lift, 0)])
     return fit.SequenceSource("drawn", dom, lambda pt: counts[pt.q]), f
 
 
@@ -607,7 +610,7 @@ def half_integer_sources_and_candidates(draw):
     st.sampled_from([0, 2**64 + 7]),
 )
 def test_half_integer_verify_matches_certified_scan(src_f, mode, puiseux_mode, threshold, shift):
-    assert src_f[1].exponent_denominator == 2
+    assert fit._compile(src_f[1])[0] == 2
     assert_verify_matches_certified_scan(*src_f, mode, puiseux_mode, threshold, shift)
 
 
@@ -636,30 +639,38 @@ def test_half_integer_offsets_at_the_int64_bound(text, even, odd, dtype):
 
 
 @given(
-    st.integers(-9, 9), st.integers(-9, 9), st.integers(-50, 50), st.integers(1, 4), st.integers(1, 30000)
+    st.lists(st.integers(-9, 9), min_size=4, max_size=4).filter(lambda a: a[1] or a[3]),
+    st.integers(1, 4),
+    st.integers(1, 30000),
 )
-def test_interval_text_is_the_float_text(a, b, c, den, q):
-    # below 2^53 the ends print as a float printed them, and as Fraction rounds
-    # them; the top term t = t^{2/2} takes 64 + bit_length(2) bits
-    f = PuiseuxPoly([(Fraction(a, den), 1), (Fraction(b, den), Fraction(1, 2)), (Fraction(c, den), 0)])
-    lo, hi, scale = f._bounds(q, 66)
-    assert fit._interval(f, q) == f"[{lo / scale:.6f}, {hi / scale:.6f}]"
-    assert fit._interval(f, q) == f"[{six_decimals(Fraction(lo, scale))}, {six_decimals(Fraction(hi, scale))}]"
+def test_interval_text_is_the_float_text(nums, divisor, q):
+    # f = (a_0 + a_1 t^{1/2} + a_2 t + a_3 t^{3/2})/L: the interval overlaps
+    # certified.bounds at 64 bits, is at most 2^-63/L wide, and below 2^53 its
+    # ends print as the float text of the reference's ends, and as Fraction
+    # rounds them
+    f = PuiseuxPoly([(Fraction(n, divisor), Fraction(k, 2)) for k, n in enumerate(nums)])
+    _, scale, terms, _ = fit._compile(f)  # scale: L
+    lo, hi, den = fit._interval(terms, scale, q)
+    ref_lo, ref_hi, ref_den = bounds(f, q, 64)
+    assert lo * ref_den <= ref_hi * den and ref_lo * den <= hi * ref_den
+    assert lo <= hi and (hi - lo) * scale * 2**63 <= den
+    text = f"[{fit._decimal(lo, den)}, {fit._decimal(hi, den)}]"
+    assert text == f"[{ref_lo / ref_den:.6f}, {ref_hi / ref_den:.6f}]"
+    assert text == f"[{six_decimals(Fraction(ref_lo, ref_den))}, {six_decimals(Fraction(ref_hi, ref_den))}]"
 
 
-@pytest.mark.parametrize("text, k", [("t^{2101/2}", 2101), ("t^{1/2}", 1)])
-def test_violation_interval_is_as_tight_at_a_high_top_exponent(monkeypatch, text, k):
-    # the interval behind the text brackets 2^(k/2) and its relative width
-    # stays below 2^-60 at k = 2101, where 64 bits left it near 2^-53
-    seen = []
-    bounds = PuiseuxPoly._bounds
-    monkeypatch.setattr(PuiseuxPoly, "_bounds", lambda f, q, bits: seen.append(bounds(f, q, bits)) or seen[-1])
+@pytest.mark.parametrize("text, k", [("t^{2101/2}", 2101), ("t^{1/2}", 1), ("t^{3/2}", 3), ("t^{99/2}", 99)])
+def test_violation_interval_is_as_tight_at_a_high_top_exponent(text, k):
+    # both printed ends of f(2) = 2^(k/2) are its value rounded to six
+    # decimals, next to isqrt(2^k 10^12), however high k: at k = 2101 the
+    # per-term bounds of certified.bounds at 76 bits agree in 20 digits only
     f = parse_puiseux(text)
-    printed = fit._interval(f, 2)
-    ((lo, hi, den),) = seen
-    assert 0 < lo < hi and lo * lo <= 2**k * den * den <= hi * hi
-    assert (hi - lo) * 2**60 < lo
-    assert printed == f"[{fit._decimal(lo, den)}, {fit._decimal(hi, den)}]"
+    src = schemes.an_source(3, PrimePowerDomain(frozenset(), "prime_powers", 50))
+    (printed,) = re.fullmatch(r".* vs f\(n\)=(\[.*\])", fit.verify_floor(f, src).summary()).groups()
+    lo, hi = (Fraction(end) for end in printed[1:-1].split(", "))
+    micro = math.isqrt(2**k * 10**12)  # floor(2^(k/2) 10^6)
+    assert micro <= lo * 10**6 <= hi * 10**6 <= micro + 1
+    assert lo == hi
 
 
 @pytest.mark.parametrize(
@@ -727,8 +738,8 @@ def spec_f13_src(limit=2000):
 def test_search_threshold_zero_keeps_every_constant_past_the_extreme():
     src = spec_f13_src()
     rep = fit.search_polynomial(src, 0, -5, 5, 0)
-    assert rep.ceiling == tuple(PuiseuxPoly.constant(c) for c in (3, 4, 5))
-    assert rep.floor == tuple(PuiseuxPoly.constant(c) for c in range(-5, 2))
+    assert rep.ceiling == tuple(PuiseuxPoly([(c, 0)]) for c in (3, 4, 5))
+    assert rep.floor == tuple(PuiseuxPoly([(c, 0)]) for c in range(-5, 2))
     assert rep.ceiling_ambiguous and rep.floor_ambiguous
     assert rep == brute_search(src, 0, -5, 5, 0)
     # no points at all: nothing bounds c, so every candidate survives
@@ -742,12 +753,12 @@ def test_search_threshold_zero_keeps_every_constant_past_the_extreme():
 def test_search_box_beyond_the_extremes():
     src = spec_f13_src()
     above = fit.search_polynomial(src, 0, 4, 6, 0)  # every c > max count: no witnesses
-    assert above.ceiling == tuple(PuiseuxPoly.constant(c) for c in (4, 5, 6))
+    assert above.ceiling == tuple(PuiseuxPoly([(c, 0)]) for c in (4, 5, 6))
     assert above.floor == ()
     assert fit.search_polynomial(src, 0, 4, 6, 1).ceiling == ()
     below = fit.search_polynomial(src, 0, -6, 0, 0)  # every c < min count
     assert below.ceiling == ()
-    assert below.floor == tuple(PuiseuxPoly.constant(c) for c in range(-6, 1))
+    assert below.floor == tuple(PuiseuxPoly([(c, 0)]) for c in range(-6, 1))
     assert fit.search_polynomial(src, 0, -6, 0, 1).floor == ()
     for lo, hi, threshold in ((4, 6, 0), (4, 6, 1), (-6, 0, 0), (-6, 0, 1)):
         assert fit.search_polynomial(src, 0, lo, hi, threshold) == brute_search(src, 0, lo, hi, threshold)

@@ -1,9 +1,10 @@
 import re
+from itertools import combinations
 
 import pytest
 
 from azw import elliptic, fit, schemes
-from azw.arith import PrimePowerDomain, sieve
+from azw.arith import ORACLE_FIELD_BOUND, PrimePowerDomain, factorize, sieve
 from azw.elliptic import EllipticCurve
 from azw.puiseux import parse_puiseux
 from azw.schemes import PellConic
@@ -65,9 +66,6 @@ def test_pell_conic_validation():
         PellConic(2)
     with pytest.raises(ValueError):
         PellConic(-5)  # -5 = 3 mod 4
-    assert PellConic(5).bad_primes == frozenset({5})
-    assert PellConic(12).bad_primes == frozenset({2, 3})
-    assert PellConic(-20).bad_primes == frozenset({2, 5})
     assert PellConic(9).is_square and not PellConic(5).is_square
 
 
@@ -102,11 +100,27 @@ def test_count_pell_oracle_near_field_bound():
             assert schemes.count_pell_oracle(conic, p, m) == schemes.count_pell(conic, p, m), (d, p, m)
 
 
+def test_count_pell_oracle_past_m_3():
+    # odd p holds one field of q elements, so every q up to the bound is
+    # counted (3^9, 5^6, 7^5, 11^4, 13^4 at the top); p = 2 holds the (x, y)
+    # grid of q^2 elements, so m runs to 7
+    for d in (-20, -3, 1, 5, 12, 17):
+        conic = PellConic(d)
+        for p in (2, 3, 5, 7, 11, 13):
+            m = 4
+            while (p * p if p == 2 else p) ** m <= ORACLE_FIELD_BOUND:
+                assert schemes.count_pell_oracle(conic, p, m) == schemes.count_pell(conic, p, m), (d, p, m)
+                m += 1
+            assert (p, m) in ((2, 8), (3, 10), (5, 7), (7, 6), (11, 5), (13, 5))
+
+
 def test_count_pell_oracle_bounds():
-    with pytest.raises(ValueError):
-        schemes.count_pell_oracle(PellConic(5), 2, 4)
+    with pytest.raises(ValueError, match=r"grid of \(2\^8\)\^2 points exceeds oracle bound 30000"):
+        schemes.count_pell_oracle(PellConic(5), 2, 8)
     with pytest.raises(ValueError):
         schemes.count_pell_oracle(PellConic(5), 197, 2)
+    with pytest.raises(ValueError):
+        schemes.count_pell_oracle(PellConic(5), 3, 10)
 
 
 def test_envelopes_pell_cases():
@@ -118,6 +132,33 @@ def test_envelopes_pell_cases():
     # odd square: ceiling drops to t-1 once every ramified prime is excluded
     assert schemes.envelopes_pell(PellConic(9), frozenset({3})) == (parse_puiseux("t - 1"), parse_puiseux("t - 1"))
     assert schemes.envelopes_pell(PellConic(9), frozenset()) == (parse_puiseux("2t"), parse_puiseux("t - 1"))
+
+
+def test_envelopes_pell_match_the_rule_on_the_primes_of_d():
+    # envelopes_pell reads a cofactor and factors nothing; the rule on D's
+    # primes: 2t while an odd one stays in play, then t + 1 for a non-square
+    # D, t - 1 once every one is excluded, else t.  Every D in [-400, 400]
+    # and every excluded subset of D's primes and {2, 3, 7}
+    two_t, t, t_plus_1, t_minus_1 = (parse_puiseux(x) for x in ("2t", "t", "t + 1", "t - 1"))
+    cases = 0
+    for d in range(-400, 401):
+        if d == 0 or d % 4 not in (0, 1):
+            continue
+        conic = PellConic(d)
+        bad = frozenset(p for p, _ in factorize(d))
+        pool = sorted(bad | {2, 3, 7})
+        for s in (frozenset(c) for k in range(len(pool) + 1) for c in combinations(pool, k)):
+            if not bad - {2} <= s:
+                want = two_t
+            elif not conic.is_square:
+                want = t_plus_1
+            elif bad <= s:
+                want = t_minus_1
+            else:
+                want = t
+            assert schemes.envelopes_pell(conic, s) == (want, t_minus_1), (d, sorted(s))
+            cases += 1
+    assert cases == 6552
 
 
 def test_qfiber_envelopes_pell():

@@ -22,8 +22,8 @@ def test_soule_elliptic_envelopes():
 
 
 def test_soule_empty():
-    assert soule_zeta(PuiseuxPoly.zero()) == FormalProduct()
-    assert not soule_zeta(PuiseuxPoly.zero())
+    assert soule_zeta(PuiseuxPoly()) == FormalProduct()
+    assert not soule_zeta(PuiseuxPoly())
 
 
 def test_tensor_squares():
