@@ -267,22 +267,20 @@ def criterion_05() -> CriterionResult:
         for n in range(2, 13):
             if schemes.count_gn(n, p, m) != (q - 1) - hits[n - 1]:
                 failures.append(f"Gn mismatch n={n}, q={p}^{m}")
+    families = (
+        ("An", schemes.envelopes_an, schemes.an_source, (1, 2, 3, 5, 8, 12)),
+        ("Gn", schemes.envelopes_gn, schemes.gn_source, (2, 3, 5, 8, 12)),
+    )
     for s in (frozenset(), frozenset({2})):
         dom = PrimePowerDomain(s, "prime_powers", 5000)
-        for n in (1, 2, 3, 5, 8, 12):
-            ceiling, floor = schemes.envelopes_an(n, s)
-            src = schemes.an_source(n, dom)
-            if not fit.verify_ceiling(ceiling, src, 3).verified:
-                failures.append(f"An ceiling unverified n={n}, S={sorted(s)}")
-            if not fit.verify_floor(floor, src, 3).verified:
-                failures.append(f"An floor unverified n={n}, S={sorted(s)}")
-        for n in (2, 3, 5, 8, 12):
-            ceiling, floor = schemes.envelopes_gn(n, s)
-            src = schemes.gn_source(n, dom)
-            if not fit.verify_ceiling(ceiling, src, 3).verified:
-                failures.append(f"Gn ceiling unverified n={n}, S={sorted(s)}")
-            if not fit.verify_floor(floor, src, 3).verified:
-                failures.append(f"Gn floor unverified n={n}, S={sorted(s)}")
+        for name, envelopes, source, ns in families:
+            for n in ns:
+                ceiling, floor = envelopes(n, s)
+                src = source(n, dom)
+                if not fit.verify_ceiling(ceiling, src, 3).verified:
+                    failures.append(f"{name} ceiling unverified n={n}, S={sorted(s)}")
+                if not fit.verify_floor(floor, src, 3).verified:
+                    failures.append(f"{name} floor unverified n={n}, S={sorted(s)}")
     return _result(5, "punctured-families", t0, failures, f"{len(qs)} prime powers, n <= 12")
 
 

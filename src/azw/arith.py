@@ -1,7 +1,7 @@
 """Exact integer arithmetic shared by every other module.
 
-Primality is decided by trial division and sieving (desk-scale bounds make
-this exact and fast enough); all square/cube roots are computed on integers,
+Primality is decided by a deterministic Miller-Rabin test (every n below
+3.3e24) and by sieving; all square/cube roots are computed on integers,
 never through floating point.  Small explicit fields F_{p^m}, handled as
 whole-field numpy arrays, are provided as brute-force oracles only.
 """
@@ -47,20 +47,40 @@ def iroot(n: int, k: int) -> int:
     return x
 
 
+# (p_k, psi_k) for the k-th prime p_k: psi_k is the least odd composite that
+# is a strong probable prime to each of the first k prime bases (Jaeschke
+# 1993; Sorenson and Webster 2015), so those k bases decide every n < psi_k.
+STRONG_PSEUDOPRIME_BOUNDS = (
+    (2, 2047), (3, 1373653), (5, 25326001), (7, 3215031751), (11, 2152302898747),
+    (13, 3474749660383), (17, 341550071728321), (19, 341550071728321),
+    (23, 3825123056546413051), (29, 3825123056546413051), (31, 3825123056546413051),
+    (37, 318665857834031151167461), (41, 3317044064679887385961981),
+)
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division up to isqrt(n)."""
-    if n < 2:
-        return False
+    """Deterministic Miller-Rabin: strong probable-prime tests to the first k
+    prime bases, k the least with n < psi_k (STRONG_PSEUDOPRIME_BOUNDS).  An
+    n >= psi_13 that passes all 13 tests is refused with a ValueError that
+    names the bound."""
     if n < 4:
-        return True
-    if n % 2 == 0 or n % 3 == 0:
+        return n >= 2
+    if n % 2 == 0:
         return False
-    f = 5
-    while f * f <= n:
-        if n % f == 0 or n % (f + 2) == 0:
-            return False
-        f += 6
-    return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    d = (n - 1) >> s
+    for base, psi in STRONG_PSEUDOPRIME_BOUNDS:
+        x = pow(base, d, n)
+        if x != 1 and x != n - 1:
+            for _ in range(s - 1):
+                x = x * x % n
+                if x == n - 1:
+                    break
+            else:
+                return False
+        if n < psi:
+            return True
+    raise ValueError(f"cannot decide whether {n} is prime: the test is exact below {psi} only")
 
 
 def is_prime_power(q: int) -> bool:

@@ -235,7 +235,7 @@ def _roots_of_unity(p, k: int):
         r[todo[ok]] = rg[ok]
         todo = todo[~ok]
         g += 1
-        while any(g % d == 0 for d in range(2, math.isqrt(g) + 1)):
+        while not is_prime(g):
             g += 1
     return r
 

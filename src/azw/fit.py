@@ -259,16 +259,13 @@ def _scan(
         e = f.terms[0][1]
         raise ValueError(f"candidate term t^{{{e}}} at q = {q_max} exceeds the limit of {MAX_TERM_BITS:,} bits")
     c = terms[-1][0] if terms and terms[-1][1] == 0 else 0
-    if d == 1:
-        higher = [(a, n) for a, n in terms if n]
-        offsets = _offsets(src, [n for _, n in higher], [[a for a, _ in higher]], scale)[0]
-        return _decide(src, mode, witness_threshold, offsets, c, scale, puiseux_mode)
-    # f = (c + R(q) + P(q) sqrt(q))/L, decided on 2(L*A_q - R(q)) - _roots at 2c, 2L
-    even = [(2 * a, n // 2) for a, n in terms if n and n % 2 == 0]
-    odd = [(a, n // 2) for a, n in terms if n % 2]
-    offsets = _offsets(src, [k for _, k in even], [[a for a, _ in even]], 2 * scale, odd)[0]
-    interval = partial(_interval, terms, scale)
-    return _decide(src, mode, witness_threshold, offsets, 2 * c, 2 * scale, puiseux_mode, interval)
+    # f = (c + R(q) + P(q) sqrt(q))/L, P = 0 when d = 1, decided on
+    # d(L*A_q - R(q)) - _roots at d*c, d*L
+    even = [(d * a, n // d) for a, n in terms if n and n % d == 0]
+    odd = [(a, n // 2) for a, n in terms if n % d]
+    offsets = _offsets(src, [k for _, k in even], [[a for a, _ in even]], d * scale, odd)[0]
+    interval = partial(_interval, terms, scale) if odd else None
+    return _decide(src, mode, witness_threshold, offsets, d * c, d * scale, puiseux_mode, interval)
 
 
 def _interval(terms, scale: int, n: int) -> tuple[int, int, int]:

@@ -123,49 +123,6 @@ def expand_binomial(t_factor: int, r: int) -> PuiseuxPoly:
 
 # --- text form -------------------------------------------------------------
 
-_TERM_RE = re.compile(
-    r"""^
-    (?:\(\s*(?P<pc>\d+)\s*/\s*(?P<pd>\d+)\s*\)   # (a/b) coefficient
-      |(?P<c>\d+(?:/\d+)?)                       # bare integer or a/b
-    )?
-    \s*\*?\s*
-    (?P<t>t
-      (?:\^(?:
-          (?P<ie>\d+)
-         |\{\s*(?P<be>\d+(?:\s*/\s*\d+)?)\s*\}
-         |\(\s*(?P<pe>\d+(?:\s*/\s*\d+)?)\s*\)
-      ))?
-    )?
-    $""",
-    re.VERBOSE,
-)
-
-
-def _split_top_level(text: str) -> list[tuple[int, str]]:
-    """Split on +/- outside braces/parens; returns (sign, chunk) pairs."""
-    chunks = []
-    depth = 0
-    sign = 1
-    cur = []
-    for ch in text:
-        if ch in "({":
-            depth += 1
-        elif ch in ")}":
-            depth -= 1
-        if depth == 0 and ch in "+-" and cur and any(c.strip() for c in cur):
-            chunks.append((sign, "".join(cur).strip()))
-            sign = 1 if ch == "+" else -1
-            cur = []
-        elif depth == 0 and ch in "+-" and not any(c.strip() for c in cur):
-            sign = sign if ch == "+" else -sign
-        else:
-            cur.append(ch)
-    tail = "".join(cur).strip()
-    if tail:
-        chunks.append((sign, tail))
-    return chunks
-
-
 def parse_fraction(text: str) -> Fraction:
     """Fraction(text), with a zero denominator reported as a ValueError; a
     plain ASCII digit string is read by int()."""
@@ -177,35 +134,80 @@ def parse_fraction(text: str) -> Fraction:
         raise ValueError(f"zero denominator in {text!r}") from exc
 
 
+class _Tokens:
+    """A text form as tokens, read left to right: runs of digits and single
+    non-blank characters, so a blank only separates tokens.  peek() is ""
+    past the end, and every refusal is one ValueError that names the text."""
+
+    __slots__ = ("text", "items", "i")
+
+    def __init__(self, text: str):
+        self.text, self.items, self.i = text, re.findall(r"\d+|\S", text), 0
+
+    def peek(self, ahead: int = 0) -> str:
+        i = self.i + ahead
+        return self.items[i] if i < len(self.items) else ""
+
+    def take(self, want: str = "") -> str:
+        """The next token, which must be `want` when one is given ("INT":
+        any run of digits)."""
+        tok = self.peek()
+        if want and tok != want and not (want == "INT" and tok.isdecimal()):
+            raise self.error("a number" if want == "INT" else repr(want))
+        self.i += 1
+        return tok
+
+    def error(self, what: str) -> ValueError:
+        found = repr(self.peek()) if self.peek() else "the end"
+        return ValueError(f"cannot parse {self.text!r}: expected {what}, found {found}")
+
+    def fraction(self):
+        """INT as an int, or INT/INT as a Fraction through parse_fraction."""
+        num = self.take("INT")
+        if self.peek() != "/":
+            return int(num)
+        self.i += 1
+        return parse_fraction(f"{num}/{self.take('INT')}")
+
+    def exponent(self, braces: bool):
+        """The exponent after an optional '^', 1 without one: INT, (frac),
+        and with braces also {frac}."""
+        if self.peek() != "^":
+            return 1
+        self.i += 1
+        close = ")" if self.peek() == "(" else "}" if braces and self.peek() == "{" else ""
+        if not close:
+            return int(self.take("INT"))
+        self.i += 1
+        e = self.fraction()
+        self.take(close)
+        return e
+
+
 def parse_puiseux(text: str) -> PuiseuxPoly:
-    """Parse sums of terms like '3t^2', '2t^{1/2}', 't^(3/2)', '-1'."""
-    text = text.strip()
-    if text.endswith(("+", "-")):
-        raise ValueError(f"dangling operator in {text!r}")
-    if not text or text == "0":
-        return PuiseuxPoly()
+    """Parse a sum of terms such as '3t^2', '-2t^{1/2}', '(1/2)t^(3/2)' or
+    '-1'.  A term is [signs] coeff ['*'] ['t' ['^' exp]] or [signs] 't'
+    ['^' exp], coeff a fraction or (fraction); a run of signs multiplies,
+    and every term after the first starts with one."""
+    tokens = _Tokens(text)
     terms = []
-    for sign, chunk in _split_top_level(text):
-        m = _TERM_RE.match(chunk.replace(" ", ""))
-        if not m or (m.group("c") is None and m.group("pc") is None and m.group("t") is None):
-            raise ValueError(f"cannot parse term {chunk!r}")
-        if m.group("pc") is not None:
-            coeff = parse_fraction(f"{m.group('pc')}/{m.group('pd')}")
-        elif m.group("c") is not None:
-            coeff = parse_fraction(m.group("c"))
-        else:
-            coeff = 1
-        if m.group("t") is None:
-            exp = 0
-        elif m.group("ie") is not None:
-            exp = int(m.group("ie"))
-        elif m.group("be") is not None:
-            exp = parse_fraction(m.group("be").replace(" ", ""))
-        elif m.group("pe") is not None:
-            exp = parse_fraction(m.group("pe").replace(" ", ""))
-        else:
-            exp = 1
-        terms.append((-coeff if sign < 0 else coeff, exp))
+    while tokens.peek():
+        if terms and tokens.peek() not in ("+", "-"):
+            raise tokens.error("'+' or '-'")
+        negative = False
+        while tokens.peek() in ("+", "-"):
+            negative ^= tokens.take() == "-"
+        coeff, exp = 1, 0
+        if tokens.peek() != "t":
+            opened = tokens.peek() == "(" and tokens.take()
+            coeff = tokens.fraction()
+            if opened:
+                tokens.take(")")
+        if tokens.peek() in ("*", "t"):  # a '*' only stands between a coeff and t
+            if tokens.take() == "*":
+                tokens.take("t")
+            exp = tokens.exponent(braces=True)
+        terms.append((-coeff if negative else coeff, exp))
     return PuiseuxPoly(terms)
 
 

@@ -8,11 +8,10 @@ product on real roots (multiplicities negated).
 
 from __future__ import annotations
 
-import re
 from fractions import Fraction
 from typing import NamedTuple, Optional
 
-from .puiseux import PuiseuxPoly, canonical_terms, parse_fraction
+from .puiseux import PuiseuxPoly, _Tokens, canonical_terms
 
 
 class FormalProduct:
@@ -123,73 +122,46 @@ def format_product(z: FormalProduct) -> str:
     return f"{num_str} / {den_str}"
 
 
-_FACTOR_RE = re.compile(
-    r"""\(\s*s\s*(?P<op>[+-])\s*(?P<root>\d+(?:\s*/\s*\d+)?)\s*\)
-        (?:\^(?:(?P<ie>\d+)|\(\s*(?P<fe>\d+(?:\s*/\s*\d+)?)\s*\)))?
-      | (?P<s>s)(?:\^(?:(?P<sie>\d+)|\(\s*(?P<sfe>\d+(?:\s*/\s*\d+)?)\s*\)))?
-      | (?P<one>1)
-    """,
-    re.VERBOSE,
-)
-
-
-def _parse_factor_group(text: str, sign: int, into: list) -> None:
-    pos = 0
-    text = text.strip()
-    if text.startswith("(") and text.endswith(")"):
-        # outer grouping parens only if they do not belong to a single factor
-        inner = text[1:-1]
-        depth = 0
-        balanced = True
-        for ch in inner:
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-                if depth < 0:
-                    balanced = False
-                    break
-        if balanced and depth == 0 and ("(" in inner or inner.strip() in ("", "s") or " " in inner.strip()):
-            text = inner.strip()
-    while pos < len(text):
-        if text[pos].isspace() or text[pos] == "*":
-            pos += 1
-            continue
-        m = _FACTOR_RE.match(text, pos)
-        if not m:
-            raise ValueError(f"cannot parse factor near {text[pos:]!r}")
-        if m.group("one"):
-            pos = m.end()
-            continue
-        if m.group("s"):
-            root = Fraction(0)
-            e = m.group("sie") or m.group("sfe")
+def _read_side(tokens: _Tokens, sign: int, into: list) -> None:
+    """Append the factors (root, sign * multiplicity) of one side: a
+    sequence of '1', '*', s[^e], (s+r)[^e], (s-r)[^e] and grouping
+    parentheses, up to a '/' or the end.  A '(' opens a factor exactly when
+    's' and a sign follow it; an empty group is refused."""
+    depth = 0  # grouping parentheses open on this side
+    while True:
+        tok = tokens.peek()
+        if tok == "(" and not (tokens.peek(1) == "s" and tokens.peek(2) in ("+", "-")):
+            tokens.take()
+            if tokens.peek() == ")":
+                raise tokens.error("a factor")
+            depth += 1
+        elif tok == ")" and depth:
+            tokens.take()
+            depth -= 1
+        elif tok in ("1", "*"):
+            tokens.take()
+        elif tok in ("s", "("):
+            root = 0
+            if tokens.take() == "(":
+                tokens.take("s")
+                root = (-1 if tokens.take() == "+" else 1) * tokens.fraction()  # (s+r): root -r
+                tokens.take(")")
+            into.append((root, sign * tokens.exponent(braces=False)))
         else:
-            root = parse_fraction(m.group("root").replace(" ", ""))
-            if m.group("op") == "+":
-                root = -root
-            e = m.group("ie") or m.group("fe")
-        mult = parse_fraction(e.replace(" ", "")) if e else Fraction(1)
-        into.append((root, sign * mult))
-        pos = m.end()
+            break
+    if depth:
+        tokens.take(")")
 
 
 def parse_product(text: str) -> FormalProduct:
-    """Parse the printer's grammar, e.g. '(s-1/2)^2 / (s (s-1))' or '1'."""
-    depth = 0
-    split = None
-    for i, ch in enumerate(text):
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        elif ch == "/" and depth == 0:
-            split = i
-            break
-    factors: list[tuple[Fraction, Fraction]] = []
-    if split is None:
-        _parse_factor_group(text, 1, factors)
-    else:
-        _parse_factor_group(text[:split], 1, factors)
-        _parse_factor_group(text[split + 1 :], -1, factors)
+    """Parse the printer's grammar, e.g. '(s-1/2)^2 / (s (s-1))' or '1': at
+    most one '/' between two sides (see _read_side)."""
+    tokens = _Tokens(text)
+    factors: list = []
+    _read_side(tokens, 1, factors)
+    if tokens.peek() == "/":
+        tokens.take()
+        _read_side(tokens, -1, factors)
+    if tokens.peek():
+        raise tokens.error("a factor, '/' or the end")
     return FormalProduct(factors)

@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import random
+import time
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ import pytest
 from azw import elliptic, schemes
 from azw.arith import (
     ORACLE_FIELD_BOUND,
+    STRONG_PSEUDOPRIME_BOUNDS,
     PrimePowerDomain,
     build_field,
     factorize,
@@ -150,6 +152,55 @@ def test_is_prime_matches_sieve():
     primes = set(sieve(2000))
     for n in range(2001):
         assert is_prime(n) == (n in primes)
+
+
+def trial_division_is_prime(n: int) -> bool:
+    """The reference: trial division by 2, 3 and 6k +- 1 up to isqrt(n)."""
+    if n < 2:
+        return False
+    if n < 4:
+        return True
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    f = 5
+    while f * f <= n:
+        if n % f == 0 or n % (f + 2) == 0:
+            return False
+        f += 6
+    return True
+
+
+def test_is_prime_matches_trial_division_below_a_million():
+    assert [n for n in range(10**6) if is_prime(n)] == [n for n in range(10**6) if trial_division_is_prime(n)]
+
+
+def test_is_prime_rejects_every_strong_pseudoprime_bound():
+    # one factor of each psi_k; psi_k must pass the first k bases, so only
+    # the next base can reject it
+    factor = {2047: 23, 1373653: 829, 25326001: 2251, 3215031751: 151, 2152302898747: 6763,
+              3474749660383: 1303, 341550071728321: 10670053, 3825123056546413051: 149491,
+              318665857834031151167461: 399165290221, 3317044064679887385961981: 1287836182261}
+    bases = [b for b, _ in STRONG_PSEUDOPRIME_BOUNDS]
+    assert bases == [p for p in sieve(41)]
+    for k, (_, psi) in enumerate(STRONG_PSEUDOPRIME_BOUNDS, 1):
+        assert 1 < factor[psi] < psi and psi % factor[psi] == 0
+        s = ((psi - 1) & (1 - psi)).bit_length() - 1
+        for b in bases[:k]:
+            x = pow(b, (psi - 1) >> s, psi)
+            assert x == 1 or psi - 1 in [pow(x, 2**i, psi) for i in range(s)], (psi, b)
+        if k < len(bases):
+            assert not is_prime(psi)
+    psi_13 = STRONG_PSEUDOPRIME_BOUNDS[-1][1]
+    with pytest.raises(ValueError, match=f"exact below {psi_13} only"):
+        is_prime(psi_13)
+    assert not is_prime(psi_13 + 1)  # even: no test is needed
+
+
+def test_is_prime_power_of_a_large_prime_is_fast():
+    mersenne = 2**61 - 1
+    t0 = time.perf_counter()
+    assert is_prime(mersenne) and is_prime_power(mersenne**2)
+    assert time.perf_counter() - t0 < 1
 
 
 def test_sieve_refuses_a_limit_too_large_to_index():

@@ -13,7 +13,7 @@ from hypothesis import event, given
 from hypothesis import strategies as st
 
 import azw
-from azw import arith, cli, fit, monoid
+from azw import arith, cli, elliptic, fit, monoid
 from azw.arith import PrimePowerDomain
 from azw.puiseux import format_puiseux, parse_puiseux
 from azw.zeta import parse_product
@@ -514,7 +514,9 @@ def test_each_excluded_entry_is_tested_for_primality_once(capsys, monkeypatch, a
     tested = []
 
     def counted(n, f=arith.is_prime):
-        tested.append(n)
+        # the search for a root of unity tests its bases g (2, 3, 5, ...), not the entries
+        if sys._getframe(1).f_code is not elliptic._roots_of_unity.__code__:
+            tested.append(n)
         return f(n)
 
     for module in [m for name, m in sys.modules.items() if name.split(".")[0] == "azw"]:

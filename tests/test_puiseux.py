@@ -214,6 +214,64 @@ def test_parse_forms():
         parse_puiseux("q + 1")
 
 
+@pytest.mark.parametrize("text", ["1 2", "2 12", "2*", "*t", "12*", "t^2 3", "3 *", "()", "(3"])
+def test_parse_refuses_blanks_in_a_number_and_a_stray_star(text):
+    # a blank separates two numbers instead of joining them, and a '*' stands only between a coeff and t
+    with pytest.raises(ValueError, match="^cannot parse"):
+        parse_puiseux(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [("(3)t", "3t"), ("(3)", "3"), ("t^\t2", "t^2"), ("1\t/5", "(1/5)"), ("t ^ {1 / 2}", "t^{1/2}")],
+)
+def test_parse_reads_parenthesized_integers_and_any_blank(text, want):
+    assert format_puiseux(parse_puiseux(text)) == want
+
+
+@st.composite
+def puiseux_texts(draw):
+    """(text, terms): random terms written with random signs, blanks, '*',
+    coefficient parentheses and exponent forms."""
+    blank = lambda: draw(st.sampled_from(["", "", " ", "  ", "\t"]))
+    terms, parts = [], []
+    for i in range(draw(st.integers(0, 4))):
+        c = Fraction(draw(st.integers(0, 30)), draw(st.integers(1, 6)))
+        e = Fraction(draw(st.integers(0, 12)), draw(st.integers(1, 4)))
+        negative = draw(st.booleans())
+        signs = list("-" if negative else "+") + draw(st.sampled_from([[], ["+"], ["-", "-"]]))
+        if i == 0 and not negative and draw(st.booleans()):
+            signs = []
+        text = "".join(sign + blank() for sign in signs)
+        num = f"{c.numerator}" if c.denominator == 1 and draw(st.booleans()) else f"{c.numerator}/{c.denominator}"
+        if e and c == 1 and draw(st.booleans()):
+            coeff = ""
+        elif draw(st.booleans()):
+            coeff = f"({blank()}{num.replace('/', blank() + '/' + blank())}{blank()})"
+        else:
+            coeff = num
+        if e:
+            star = blank() + "*" + blank() if coeff and draw(st.booleans()) else blank()
+            exp = f"{e.numerator}/{e.denominator}"
+            if e.denominator == 1 and draw(st.booleans()):
+                power = "" if e == 1 and draw(st.booleans()) else f"^{blank()}{e.numerator}"
+            else:
+                opening, closing = draw(st.sampled_from(["()", "{}"]))
+                power = f"^{blank()}{opening}{blank()}{exp}{blank()}{closing}"
+            text += f"{coeff}{star}t{blank()}{power}"
+        else:
+            text += coeff or "1"
+        parts.append(text)
+        terms.append((-c if negative else c, e))
+    return blank().join(parts), terms
+
+
+@given(puiseux_texts())
+def test_parse_puiseux_reads_every_written_form(case):
+    text, terms = case
+    assert parse_puiseux(text) == PuiseuxPoly(terms)
+
+
 def test_format_canonical():
     assert format_puiseux(C) == "t + 2t^{1/2} + 1"
     assert format_puiseux(F) == "t - 2t^{1/2} + 1"

@@ -1,6 +1,10 @@
 import random
 from fractions import Fraction
 
+import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+
 from azw.puiseux import PuiseuxPoly, parse_puiseux
 from azw.zeta import (
     FormalProduct,
@@ -137,3 +141,69 @@ def test_parse_format_roundtrip_random():
             ]
         )
         assert parse_product(format_product(z)) == z
+
+
+@pytest.mark.parametrize("text", ["11", "s 11", "12", "()", "1 / ()", "s / s / s", "(s", "s)", "(s / s)", "(s-1)^{2}"])
+def test_parse_product_refuses(text):
+    # the only number that is a factor is 1, and a group holds at least one token
+    with pytest.raises(ValueError):
+        parse_product(text)
+
+
+@pytest.mark.parametrize(
+    "text, want",
+    [
+        ("1 / (s - 1)", "1 / (s-1)"),
+        ("(s + 1/2 )^ 2", "(s+1/2)^2"),
+        ("s^ 2", "s^2"),
+        ("s ^(1 / 2)", "s^(1/2)"),
+        ("s^2((s-1))", "s^2 (s-1)"),
+        ("(s^2) / ((s) (1))", "s"),
+        ("(1)", "1"),
+        ("(*) s", "s"),
+    ],
+)
+def test_parse_product_reads_blanks_and_grouping_anywhere(text, want):
+    assert format_product(parse_product(text)) == want
+
+
+@st.composite
+def product_texts(draw):
+    """(text, factors): random factors on either side of a '/', written with
+    random blanks, '*', '1', exponent forms and grouping parentheses."""
+    blank = lambda: draw(st.sampled_from(["", "", " ", "  ", "\t"]))
+    factors, sides = [], []
+    for sign in (1, -1):
+        items = []
+        for _ in range(draw(st.integers(0, 4))):
+            root = Fraction(draw(st.integers(-9, 9)), draw(st.integers(1, 3)))
+            mult = Fraction(draw(st.integers(0, 5)), draw(st.integers(1, 3)))
+            if root == 0 and draw(st.booleans()):
+                base = "s"
+            else:
+                op = draw(st.sampled_from("+-")) if root == 0 else "-" if root > 0 else "+"
+                r = abs(root)
+                num = f"{r.numerator}" if r.denominator == 1 and draw(st.booleans()) else f"{r.numerator}/{r.denominator}"
+                base = f"({blank()}s{blank()}{op}{blank()}{num.replace('/', blank() + '/' + blank())}{blank()})"
+            if mult.denominator == 1 and draw(st.booleans()):
+                power = "" if mult == 1 and draw(st.booleans()) else f"^{blank()}{mult.numerator}"
+            else:
+                power = f"^{blank()}({blank()}{mult.numerator}/{mult.denominator}{blank()})"
+            items.append(base + blank() + power)
+            factors.append((root, sign * mult))
+        items += ["1"] * draw(st.integers(0, 2)) + ["*"] * draw(st.integers(0, 1))
+        items = draw(st.permutations(items))
+        for _ in range(draw(st.integers(0, 2))):  # group a non-empty run
+            if items:
+                i = draw(st.integers(0, len(items) - 1))
+                j = draw(st.integers(i + 1, len(items)))
+                items[i:j] = ["(" + blank() + " ".join(items[i:j]) + blank() + ")"]
+        sides.append(" ".join(items) if items else draw(st.sampled_from(["", "1"])))
+    text = sides[0] + (f"{blank()}/{blank()}{sides[1]}" if sides[1] or draw(st.booleans()) else "")
+    return text, factors
+
+
+@given(product_texts())
+def test_parse_product_reads_every_written_form(case):
+    text, factors = case
+    assert parse_product(text) == FormalProduct(factors)
