@@ -16,12 +16,13 @@ chosen by the curve and by p:
     character sum.
 The closed form and the baby-step giant-step search are numpy kernels over a
 batch of primes: one lane per prime for the closed form, one per prime and
-point, in Jacobian coordinates, for the search; int64 while p < 2^31, Python
-ints above.  Their cost per call is mostly fixed (a batch of one costs about
-0.3 ms on a CM curve, 2 ms on the others), so callers that need many traces
-ask for them at once: `census` and `count_source` ask for all their primes
-in one batch, a `TraceTable` holds one batch for loops over primes, and
-`EllipticCurve.trace` is an uncached batch of one.
+point, in Jacobian coordinates, for the search.  A lane is an int32 while
+p < 2^15, an int64 while p < 2^31 and a Python int above (`_lane_dtype`).
+Their cost per call is mostly fixed (a batch of one costs about 0.3 ms on a
+CM curve, and 1 to 2.5 ms on the others for p from 10^3 to 10^6), so callers
+that need many traces ask for them at once: `census` and `count_source` ask
+for all their primes in one batch, a `TraceTable` holds one batch for loops
+over primes, and `EllipticCurve.trace` is an uncached batch of one.
 The character sum stays the reference that the tests compare the other two
 paths against.
 Counts over F_{p^m} follow from the trace recursion
@@ -30,6 +31,7 @@ Counts over F_{p^m} follow from the trace recursion
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -153,8 +155,8 @@ CM_BLOCK_LANES = 1 << 14
 
 def _traces_cm(a: int, b: int, primes: list[int]) -> list[int]:
     """a_p of y^2 = x^3 + ax (b = 0) or y^2 = x^3 + b (a = 0) at good primes,
-    one numpy lane per prime, CM_BLOCK_LANES primes at a time: int64 while
-    every p of the pass is below 2^31, Python ints above.
+    one numpy lane per prime, CM_BLOCK_LANES primes at a time, each pass in
+    the lane word of its largest prime (`_lane_dtype`).
 
     Ireland-Rosen, ch. 18, Thms 4-5.  j = 1728: a_p = 0 for p = 3 mod 4;
     otherwise p = pi conj(pi) with pi = x + yi primary (x + y = 1 mod 4,
@@ -169,7 +171,7 @@ def _traces_cm(a: int, b: int, primes: list[int]) -> list[int]:
     out: list[int] = []
     for start in range(0, len(primes), CM_BLOCK_LANES):
         block = primes[start : start + CM_BLOCK_LANES]
-        p = np.array(block, dtype=np.int64 if max(block) < 2**31 else object)
+        p = np.array(block, dtype=_lane_dtype(max(block)))
         t = np.zeros_like(p)
         lanes = np.flatnonzero(p % k == 1)  # a_p = 0 on the others
         t[lanes] = _cm_lanes(p[lanes], coeff, k)
@@ -262,9 +264,23 @@ def _cornacchia(p, d: int, r):
 # Mestre's uniqueness can fail.
 BSGS_MIN_P = 500
 BSGS_POINTS = 32  # x = 0..31 are tried before falling back to the character sum
-# Lanes (one prime and one point each) per pass of the kernel: bounds its
-# (steps x lanes) arrays, so peak memory does not grow with the batch.
-BSGS_BLOCK_LANES = 512
+# Bytes of lane words per pass of the kernel: bounds its (steps x lanes)
+# arrays, so peak memory does not grow with the batch.  A pass holds 1024
+# int32 lanes, or 512 int64 or Python-int lanes.
+BSGS_BLOCK_BYTES = 4096
+
+
+# The lane words of the kernels, and the primes below which the first two
+# hold every intermediate: that is at most a sum of two products of residues,
+# so it needs 2 p^2 below 2^31 (int32) or 2^63 (int64).  Python ints (dtype
+# object) run the same code past that.
+LANE_WORDS = (np.dtype(np.int32), np.dtype(np.int64), np.dtype(object))
+WORD_LIMITS = (2**15, 2**31)
+
+
+def _lane_dtype(p_max: int):
+    """The narrowest lane word for residues mod primes up to p_max."""
+    return LANE_WORDS[bisect.bisect_right(WORD_LIMITS, p_max)]
 
 
 def _trace_bsgs(a: int, b: int, primes: list[int]) -> list[Optional[int]]:
@@ -279,43 +295,50 @@ def _trace_bsgs(a: int, b: int, primes: list[int]) -> list[Optional[int]]:
     the only such one in the Hasse interval is certified.  For p > 229 some
     point of E or of its twist has a unique t (Mestre).
 
-    One lane per prime and point: up to BSGS_BLOCK_LANES lanes go through
-    the kernel at a time.  A prime that no lane certifies goes back to the
-    queue with its next x, until BSGS_POINTS values of x are used up.  When
-    the block has room for more lanes than there are primes (a short batch,
-    or the primes left to retry), each prime below 2^31 tries that many
-    next values of x at once, since on int64 a pass costs about the same
-    for a few lanes as for a full block.
+    One lane per prime and point.  The primes go through the kernel in
+    rounds, in ascending order and split by lane word, each pass holding
+    BSGS_BLOCK_BYTES of lanes.  The first round gives every prime one x,
+    which certifies most of them.  Each later round gives each prime left
+    its next few x at once, as many as fill a quarter of a pass between
+    them (at least one): a pass costs a fixed part plus a share per lane
+    (about 1.0 ms and 3 us on int32 near p = 5000), so a retry pass stays
+    short, yet seldom leaves a prime for one more.  Python-int lanes try one
+    x at a time, as there each lane costs its own time.  A prime goes on
+    until BSGS_POINTS values of x are used up.
     """
-    out: list[Optional[int]] = [None] * len(primes)
     p_all = np.array(primes, dtype=object)
+    am_all, bm_all = a % p_all, b % p_all
     x_all = np.zeros(len(primes), dtype=np.int64)  # the next x of each prime
-    queue = np.arange(len(primes))
-    while len(queue):
-        todo, queue = queue[:BSGS_BLOCK_LANES], queue[BSGS_BLOCK_LANES:]
-        small = max(p_all[todo]) < 2**31  # int64 products stay < 2^62
-        dtype = np.int64 if small else object
-        # on Python ints a lane costs its own time, so there one x at a time
-        room = BSGS_BLOCK_LANES // len(todo) if small else 1
-        tries = np.minimum(room, BSGS_POINTS - x_all[todo])
-        owner = np.repeat(todo, tries)  # lane -> prime
-        x = x_all[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(tries) - tries, tries)
-        x_all[todo] += tries
-        p = p_all[owner]
-        am, bm = (np.array([c % q for q in p], dtype) for c in (a, b))
-        p, x = p.astype(dtype), x.astype(dtype)
-        f = (x * x % p * x + am * x + bm) % p
-        live = np.flatnonzero(f != 0)
-        if len(live):
-            p, f, x, am = p[live], f[live], x[live], am[live]
-            ff = f * f % p
-            t, ok = _unique_traces(am * ff % p, f * x % p, ff, p)
-            chi = _pow(f[ok], (p[ok] - 1) // 2, p[ok])
-            for i, ti, square in zip(owner[live[ok]], t[ok], chi == 1):
-                out[i] = int(ti) if square else -int(ti)
-        pending = np.array([i for i in todo if out[i] is None], dtype=np.int64)
-        queue = np.concatenate([queue, pending[x_all[pending] < BSGS_POINTS]])
-    return out
+    t_all = np.zeros(len(primes), dtype=np.int64)
+    done = np.zeros(len(primes), dtype=bool)
+    todo = np.argsort(p_all, kind="stable")
+    retry = False
+    while len(todo):
+        for dtype, group in zip(LANE_WORDS, np.split(todo, np.searchsorted(p_all[todo], WORD_LIMITS))):
+            if not len(group):
+                continue
+            lanes = BSGS_BLOCK_BYTES // dtype.itemsize
+            tries = max(1, lanes // (4 * len(group))) if retry and dtype != object else 1
+            for start in range(0, len(group), lanes // tries):
+                block = group[start : start + lanes // tries]
+                k = np.minimum(tries, BSGS_POINTS - x_all[block])
+                owner = np.repeat(block, k)  # lane -> prime
+                x = x_all[owner] + np.arange(len(owner)) - np.repeat(np.cumsum(k) - k, k)
+                x_all[block] += k
+                p, am, bm, x = (v.astype(dtype) for v in (p_all[owner], am_all[owner], bm_all[owner], x))
+                f = (x * x % p * x + am * x + bm) % p
+                live = np.flatnonzero(f != 0)
+                if not len(live):
+                    continue
+                p, f, x, am, owner = p[live], f[live], x[live], am[live], owner[live]
+                ff = f * f % p
+                t, ok = _unique_traces(am * ff % p, f * x % p, ff, p)
+                chi = _pow(f[ok], (p[ok] - 1) // 2, p[ok])
+                t_all[owner[ok]] = np.where(chi == 1, t[ok], -t[ok])
+                done[owner[ok]] = True
+        todo = todo[~done[todo] & (x_all[todo] < BSGS_POINTS)]
+        retry = True
+    return [t if ok else None for t, ok in zip(t_all.tolist(), done.tolist())]
 
 
 def _unique_traces(A, X, Y, p):
@@ -332,25 +355,46 @@ def _unique_traces(A, X, Y, p):
     own Hasse interval qualifies.  Points are kept in Jacobian coordinates
     and normalized once, baby and giant steps together, by Montgomery's
     trick down each lane: one Fermat inverse per lane.
+
+    The baby steps and sP take the unpatched `_jadd`.  On a lane that those
+    checks pass, P has order at least s, so no sum among them has O or two
+    equal points in it, and each is exact (sP itself may be O); on the
+    other lanes they may be wrong.  The giant steps must be exact on every
+    lane, since giant i is O wherever t = (i - top) s is a root of
+    (p + 1 - t)P = O, for every point when it is the true trace.  So giant 0
+    comes from the exact `_jmul`, giant 1 from an exact sum (giant 0 may be
+    -sP), and after an O giant the next two are -sP and -2sP by selection;
+    where sP = O every giant is giant 0.
     """
     lanes = len(p)
-    bound = np.array([math.isqrt(4 * int(q)) for q in p])
+    bound = np.array([math.isqrt(4 * q) for q in p.tolist()])
     m = math.isqrt(int(bound.max())) + 1
     s = 2 * m + 1
     top = (int(bound.max()) + m) // s
     giants = 2 * top + 1
     pt = (X, Y, np.ones_like(X))
     xyz = np.empty((3, m + giants, lanes), dtype=p.dtype)
-    q = pt
-    for j in range(m):  # row j: (j + 1)P
-        xyz[0, j], xyz[1, j], xyz[2, j] = q
+    xyz[:, 0] = pt
+    q = _jdouble(pt, A, p)
+    for j in range(1, m):  # row j: (j + 1)P
+        xyz[:, j] = q
         q = _jadd(q, pt, A, p)
     step = _jadd(q, tuple(xyz[:, m - 1]), A, p)  # (m + 1)P + mP = sP
     back = (step[0], -step[1] % p, step[2])
+    back2 = _jdouble(back, A, p)
     g = _jmul(p + 1 + top * s, xyz[:, :m], A, p)  # (p + 1 - i*s)P at i = -top
-    for i in range(giants):  # row m + i: the giant step at i - top
-        xyz[0, m + i], xyz[1, m + i], xyz[2, m + i] = g
-        g = _jadd(g, back, A, p)
+    xyz[:, m] = g
+    was_o = np.zeros(0, dtype=np.int64)
+    for i in range(m + 1, m + giants):  # row i: the giant step at i - m - top
+        o = np.flatnonzero(g[2] == 0)
+        g = _jadd(g, back, A, p, exact=i == m + 1)
+        for c, c1, c2 in zip(g, back, back2):
+            c[was_o] = c2[was_o]
+            c[o] = c1[o]
+        xyz[:, i] = g
+        was_o = o
+    stuck = np.flatnonzero(step[2] == 0)
+    xyz[:, m + 1 :, stuck] = xyz[:, m : m + 1, stuck]
     x, y, z = xyz  # normalized in place: x = X/Z^2, y = Y/Z^3
     zero = z == 0
     z[zero] = 1
@@ -364,8 +408,9 @@ def _unique_traces(A, X, Y, p):
     y %= p
     del zz
 
-    # baby x keyed by lane: a sorted table, searched by every giant x
-    lane = np.arange(lanes)
+    # baby x keyed by lane: a sorted table, searched by every giant x; a key
+    # is below lanes * p, so it fits the lane word
+    lane = np.arange(lanes, dtype=p.dtype)
     width = int(p.max())
     table = (x[:m] + lane * width).ravel()
     order = np.argsort(table, kind="stable")  # less peak memory than the default here
@@ -402,9 +447,13 @@ def _jdouble(pt, A, p):
     return x3, y3, 2 * Y % p * Z % p
 
 
-def _jadd(u, v, A, p):
-    """u + v in Jacobian coordinates, lane by lane.  u = -v gives Z = 0 by
-    itself; the lanes where u = O, v = O or u = v are patched afterwards."""
+def _jadd(u, v, A, p, exact=False):
+    """u + v in Jacobian coordinates, lane by lane.  The sum is right, and
+    its Z nonzero, where u and v are points other than O with distinct x.
+    Every other lane gets Z = 0: right for u = -v, and then kept by every
+    later sum or double, so a chain of these steps is right on each lane
+    that ends with Z != 0.  `exact` patches the lanes where u = O, v = O or
+    u = v."""
     X1, Y1, Z1 = u
     X2, Y2, Z2 = v
     z1z1, z2z2 = Z1 * Z1 % p, Z2 * Z2 % p
@@ -416,7 +465,7 @@ def _jadd(u, v, A, p):
     hhh, w = h * hh % p, u1 * hh % p
     x3 = (r * r - hhh - 2 * w) % p
     out = (x3, (r * (w - x3) - s1 * hhh) % p, Z1 * Z2 % p * h % p)
-    k = np.flatnonzero((Z1 == 0) | (Z2 == 0) | (h == 0))
+    k = np.flatnonzero(out[2] == 0) if exact else ()
     if len(k):
         uk, vk = tuple(c[k] for c in u), tuple(c[k] for c in v)
         same = (h[k] == 0) & (r[k] == 0)
@@ -427,18 +476,24 @@ def _jadd(u, v, A, p):
 
 def _jmul(k, table, A, p):
     """k P lane by lane (k >= 1), by windows of w bits: w doublings, then one
-    addition of dP = table[:, d - 1], where table holds P, 2P, ..., mP and
-    2^w - 1 <= m."""
+    exact addition of dP = table[:, d - 1], where table holds P, 2P, ..., mP
+    and 2^w - 1 <= m.  Each lane starts at dP of its own first nonzero
+    window, not at O."""
     w = (table.shape[1] + 1).bit_length() - 1
     lane = np.arange(len(p))
-    out = (np.ones_like(p), np.ones_like(p), np.zeros_like(p))  # O
     top = (int(np.max(k)).bit_length() - 1) // w * w
+    out, started = None, None
     for shift in range(top, -1, -w):
-        for _ in range(w if shift < top else 0):
-            out = _jdouble(out, A, p)
         d = ((k >> shift) & ((1 << w) - 1)).astype(np.int64)
-        plus = _jadd(out, tuple(table[:, np.maximum(d - 1, 0), lane]), A, p)
-        out = tuple(np.where(d > 0, c1, c) for c, c1 in zip(out, plus))
+        dp = tuple(table[:, np.maximum(d - 1, 0), lane])
+        if out is None:
+            out, started = dp, d > 0
+            continue
+        for _ in range(w):
+            out = _jdouble(out, A, p)
+        plus = _jadd(out, dp, A, p, exact=True)
+        out = tuple(np.where(started, np.where(d > 0, c1, c), c2) for c, c1, c2 in zip(out, plus, dp))
+        started |= d > 0
     return out
 
 

@@ -332,6 +332,41 @@ def test_bsgs_trace_equals_char_sum_from_the_crossover_to_20000():
         assert elliptic._trace_bsgs(a, b, primes) == expected, (a, b)
 
 
+def test_traces_across_the_int32_bound():
+    # every good prime within 3000 of 2^15, where the lanes go from int32 to
+    # int64; _trace_bsgs itself, since the character-sum fallback of _traces
+    # would hide a lane that overflows
+    band = [p for p in sieve(2**15 + 3000) if p > 2**15 - 3000]
+    curves = {(c.a, c.b) for c in elliptic.FIXTURE_CURVES}
+    curves |= {ab for pair in ISOGENOUS_PAIRS.values() for ab in pair}
+    for a, b in sorted(curves):
+        primes = [p for p in band if p not in EllipticCurve(a, b).bad_primes]
+        expected = [elliptic._trace_char_sum(a, b, p) for p in primes]
+        below = [p for p in primes if p < 2**15]
+        assert elliptic._trace_bsgs(a, b, below) == expected[: len(below)], (a, b)
+        assert elliptic._trace_bsgs(a, b, primes[len(below) :]) == expected[len(below) :], (a, b)
+        assert elliptic._trace_bsgs(a, b, primes) == expected, (a, b)  # one batch across 2^15
+        if a * b == 0:
+            assert elliptic._traces_cm(a, b, primes) == expected, (a, b)
+    # an overflowed lane is mostly left uncertified, and the next x hides it
+    # from the traces; so the lanes of x = 0..3 run in the word that
+    # _lane_dtype picks and in Python ints, and must agree.  46337 and the
+    # primes just below it have p^2 < 2^31 < 2p^2
+    near = [p for p in sieve(46337) if p > 45800]
+    for a, b in ((-1, 1), (0, -2)):
+        for primes in (band[: len(band) // 2], band[len(band) // 2 :], near):
+            for x in range(4):
+                ps = [p for p in primes if (x**3 + a * x + b) % p]
+                fs = [(x**3 + a * x + b) % p for p in ps]
+                cols = [[a * f * f % p for f, p in zip(fs, ps)], [f * x % p for f, p in zip(fs, ps)]]
+                cols += [[f * f % p for f, p in zip(fs, ps)], ps]
+                word, wide = (
+                    elliptic._unique_traces(*(np.array(c, dtype=d) for c in cols))
+                    for d in (elliptic._lane_dtype(max(ps)), object)
+                )
+                assert (word[1] == wide[1]).all() and (word[0] == wide[0])[wide[1]].all(), (a, b, x)
+
+
 def test_bsgs_trace_equals_char_sum_near_a_million():
     primes = [p for p in range(10**6, 10**6 + 200) if is_prime(p)][:10]
     assert len(primes) == 10
@@ -355,9 +390,19 @@ def test_bsgs_trace_equals_char_sum_on_random_curves(a, b, starts):
 
 
 def test_bsgs_lane_blocks_do_not_change_the_census(monkeypatch):
-    rows = elliptic.census(EllipticCurve(-15, 22), 20000).rows
-    monkeypatch.setattr(elliptic, "BSGS_BLOCK_LANES", 7)
-    assert elliptic.census(EllipticCurve(-15, 22), 20000).rows == rows
+    # 28 bytes a pass: 7 int32 lanes below 2^15, 3 int64 lanes above it
+    curve, x_max = EllipticCurve(-15, 22), 2**15 + 3000
+    rows = elliptic.census(curve, x_max).rows
+    widest = {}  # lane word -> most lanes in one pass
+
+    def unique_traces(A, X, Y, p, f=elliptic._unique_traces):
+        widest[p.dtype] = max(widest.get(p.dtype, 0), len(p))
+        return f(A, X, Y, p)
+
+    monkeypatch.setattr(elliptic, "_unique_traces", unique_traces)
+    monkeypatch.setattr(elliptic, "BSGS_BLOCK_BYTES", 28)
+    assert elliptic.census(curve, x_max).rows == rows
+    assert widest == {np.dtype(np.int32): 7, np.dtype(np.int64): 3}
 
 
 # the first primes above 2^31 with p = 3 mod 4, where -1 is a non-square
@@ -411,6 +456,20 @@ def test_bsgs_only_the_twist_decides(monkeypatch):
     # uncertified, and the trace is the character sum's
     monkeypatch.setattr(elliptic, "BSGS_POINTS", 12)
     assert elliptic._trace_bsgs(a, b, [p, 3533]) == [None, elliptic._trace_char_sum(a, b, 3533)]
+
+
+def test_bsgs_giant_steps_stay_exact_where_sP_is_O():
+    # lane 0: P = (89, 396) of order 91 on y^2 = x^3 + x + 28 over F_503;
+    # lane 1, P = (0, 1) on y^2 = x^3 - x + 1 at p = 1000003, sets
+    # s = 2m + 1 = 91, so sP = O on lane 0 and each of its giant steps is the
+    # first.  Its Hasse interval [-44, 44] is shorter than s, so one t
+    # qualifies there, and it must be the true trace
+    a, p, pt, big = 1, 503, (89, 396), 1000003
+    assert ec_mul(91, pt, a, p) is None and ec_mul(7, pt, a, p) and ec_mul(13, pt, a, p)
+    lanes = [np.array(c) for c in ([a, big - 1], [pt[0], 0], [pt[1], 1], [p, big])]
+    t, certified = elliptic._unique_traces(*lanes)
+    assert certified.tolist() == [True, True]
+    assert t.tolist() == [elliptic._trace_char_sum(a, 28, p), elliptic._trace_char_sum(-1, 1, big)]
 
 
 def trace_cm(a, b, p):
